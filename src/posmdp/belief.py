@@ -13,6 +13,8 @@ import numpy as np
 __all__ = [
     "ImpossibleEvidenceError",
     "validate_belief",
+    "predict_with_time",
+    "condition",
     "update_with_time",
     "update_without_time",
     "observation_time_likelihood",
@@ -43,14 +45,23 @@ def validate_belief(belief, n_states: int) -> np.ndarray:
     return belief
 
 
-def update_with_time(model, belief, action: int, tau: float, observation: int) -> np.ndarray:
-    """Posterior over states after acting, waiting ``tau``, and observing.
+def predict_with_time(model, belief, action: int, tau: float) -> np.ndarray:
+    """Unnormalized successor weights after acting and waiting ``tau``.
 
-    The posterior is proportional to
-    ``G(o | a, s') * sum_s P(s' | s, a) f(tau | s, a, s') xi(s)``.
+    Returns the [s'] vector ``sum_s xi(s) P(s' | s, a) f(tau | s, a, s')``,
+    the one sojourn-density evaluation that both the observation likelihood
+    and the posterior are built from.
     """
     f = model.sojourn_density_matrix(action, tau)
-    predicted = belief @ (model.transition[:, action, :] * f)
+    return belief @ (model.transition[:, action, :] * f)
+
+
+def condition(model, predicted, action: int, observation: int, tau=None) -> np.ndarray:
+    """Posterior from predicted successor weights and one observation.
+
+    Raises :class:`ImpossibleEvidenceError` when the evidence has (numerically)
+    zero likelihood; ``tau`` only labels that error.
+    """
     numerator = model.observation_kernel[action, :, observation] * predicted
     normalizer = numerator.sum()
     if normalizer < UNDERFLOW_THRESHOLD:
@@ -58,14 +69,19 @@ def update_with_time(model, belief, action: int, tau: float, observation: int) -
     return numerator / normalizer
 
 
+def update_with_time(model, belief, action: int, tau: float, observation: int) -> np.ndarray:
+    """Posterior over states after acting, waiting ``tau``, and observing.
+
+    The posterior is proportional to
+    ``G(o | a, s') * sum_s P(s' | s, a) f(tau | s, a, s') xi(s)``.
+    """
+    return condition(model, predict_with_time(model, belief, action, tau), action,
+                     observation, tau)
+
+
 def update_without_time(model, belief, action: int, observation: int) -> np.ndarray:
     """Posterior ignoring the sojourn time (the time-free ablation)."""
-    predicted = belief @ model.transition[:, action, :]
-    numerator = model.observation_kernel[action, :, observation] * predicted
-    normalizer = numerator.sum()
-    if normalizer < UNDERFLOW_THRESHOLD:
-        raise ImpossibleEvidenceError(action, None, observation)
-    return numerator / normalizer
+    return condition(model, belief @ model.transition[:, action, :], action, observation)
 
 
 def observation_time_likelihood(model, belief, action: int, tau: float):
@@ -75,7 +91,5 @@ def observation_time_likelihood(model, belief, action: int, tau: float):
     the common factor ``total``; ``masses[o]`` equals the normalizer of
     :func:`update_with_time` for the same arguments.
     """
-    f = model.sojourn_density_matrix(action, tau)
-    predicted = belief @ (model.transition[:, action, :] * f)
-    masses = model.observation_kernel[action].T @ predicted
+    masses = model.observation_kernel[action].T @ predict_with_time(model, belief, action, tau)
     return masses, float(masses.sum())

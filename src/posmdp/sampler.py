@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .belief import observation_time_likelihood, update_with_time
+from .belief import condition, predict_with_time
+# Kept as names of this module: bench/tracer.py wraps the filter here.
+from .belief import observation_time_likelihood, update_with_time  # noqa: F401
 
 __all__ = ["SampleBank", "collect", "mixture_density", "importance_ratio",
            "bank_to_dict", "bank_from_dict", "save_bank", "load_bank"]
@@ -74,9 +76,10 @@ def collect(model, n: int, seed: int) -> SampleBank:
         times.append(tau)
         origins.append((s, a, s2))
         counts[s, a, s2] += 1
-        masses, total = observation_time_likelihood(model, xi, a, tau)
-        o = _sample_index(rng, masses / total)
-        beliefs.append(update_with_time(model, xi, a, tau, o))
+        predicted = predict_with_time(model, xi, a, tau)
+        masses = model.observation_kernel[a].T @ predicted
+        o = _sample_index(rng, masses / float(masses.sum()))
+        beliefs.append(condition(model, predicted, a, o, tau))
 
     total = counts.sum()
     weights = counts / total if total > 0 else counts

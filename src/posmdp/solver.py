@@ -4,10 +4,19 @@ The value function is a finite set of alpha vectors, each an |S|-dimensional
 hyperplane tagged with the action whose backup produced it. A backup at one
 belief replaces the sojourn-time integral in the Bellman operator with a
 Monte Carlo sum over the collected time samples, reweighted by
-``exp(-beta * tau_n) / D(tau_n)`` against the collection mixture ``D``. The
-outer loop backs up a shrinking random subset of the collected beliefs until
-every one of them is improved, and repeats until the sup-norm change over
-the belief set falls below a threshold.
+``exp(-beta * tau_n) / D(tau_n)`` against the collection mixture ``D``. Sampled
+times whose density slices are proportional share one term (see
+:class:`BackupCache`), which on models with one sojourn law per action leaves
+one term per action.
+
+The outer loop backs up a shrinking random subset of the collected beliefs
+until every one of them is improved, and repeats until the sup-norm change
+over the belief set falls below a threshold. That randomized pass is
+sequential, since each pick depends on the vectors found before it. The
+verification sweep that certifies convergence backs up every collected belief
+at once, as one batched contraction over the belief matrix
+(:func:`backup_beliefs`); a single backup is the one-row case of the same
+kernel.
 """
 
 from __future__ import annotations
@@ -29,8 +38,8 @@ __all__ = [
     "initial_value_function",
     "constant_value_function",
     "conservative_value_function",
-    "alpha_given_a_tau_o",
     "backup",
+    "backup_beliefs",
     "perseus_update",
     "solve",
     "SolveResult",
@@ -147,12 +156,22 @@ def conservative_value_function(model) -> ValueFunction:
 class BackupCache:
     """Per-(model, bank) precomputation shared by every backup.
 
-    Stores, per action, the [g, s, s'] tensors ``P(s'|s,a) f(tau_g|s,a,s')``
-    over the *unique* sampled times with nonzero density under that action,
-    with the importance factors ``exp(-beta tau_n) / D(tau_n) / |C|`` summed
-    within each group. Grouping is exact — the density depends on the sample
-    only through tau — and collapses the thousands of repeats that atom-valued
-    sojourn laws produce.
+    Stores, per action, sample *groups*: [s, s'] slices ``M_a[g]`` of
+    ``P(s'|s,a) f(tau|s,a,s')``, laid out as one [s, g, s'] array, with
+    importance weights ``kappa_a[g]``, the factors
+    ``exp(-beta tau_n) / D(tau_n) / |C|`` summed over the group.
+
+    Samples with equal tau share one group: the density depends on a sample
+    only through tau, so the thousands of repeats that atom-valued sojourn
+    laws produce collapse exactly. Within an action, the triples are then
+    split by sojourn law (dataclass equality). At a time where exactly one
+    law ``d`` has nonzero density the slice is ``f_d(tau) P_a`` masked to
+    ``d``'s cells, so all such times fold into one group per law, with slice
+    ``P_a`` masked to ``d``'s cells and weight ``sum_g kappa_g f_d(tau_g)``.
+    This is exact: a backup takes, per group and observation, the argmax over
+    alpha vectors of a linear score, which positive scaling leaves unchanged,
+    and its contribution is linear in the slice. Times at which two or more
+    laws are active keep their own group.
     """
 
     def __init__(self, model, bank: SampleBank):
@@ -164,60 +183,109 @@ class BackupCache:
         unique_taus, inverse = np.unique(bank.times, return_inverse=True)
         kappa_grouped = np.zeros(unique_taus.size)
         np.add.at(kappa_grouped, inverse, kappa_all)
-        self.trans_sojourn = []  # per action: [g, s, s']
+        self.trans_sojourn = []  # per action: [s, g, s']
         self.kappa = []  # per action: [g]
         for a in range(model.n_actions):
-            f_vals = model.sojourn_density_samples(a, unique_taus)
-            keep = np.flatnonzero(f_vals.reshape(unique_taus.size, -1).any(axis=1))
-            self.trans_sojourn.append(
-                model.transition[None, :, a, :] * f_vals[keep]
-            )
-            self.kappa.append(kappa_grouped[keep])
+            transition = model.transition[:, a, :]
+            f_vals = model.sojourn_density_samples(a, unique_taus)  # [n, s, s']
+            masks = _law_masks(model, a)  # [d, s, s']
+            # f_d(tau) of each law, read at one of its cells: [d, n].
+            cells = masks.reshape(len(masks), -1).argmax(axis=1)
+            law_density = f_vals.reshape(unique_taus.size, -1)[:, cells].T
+            active = law_density > 0
+            n_active = active.sum(axis=0)
+            slices, weights = [], []
+            for mask, f_d, on in zip(masks, law_density, active):
+                merge = on & (n_active == 1)
+                if merge.any():
+                    slices.append(transition * mask)
+                    weights.append(kappa_grouped[merge] @ f_d[merge])
+            keep = np.flatnonzero(n_active > 1)
+            groups = np.concatenate([np.array(slices).reshape(-1, *transition.shape),
+                                     transition[None] * f_vals[keep]])
+            self.trans_sojourn.append(np.ascontiguousarray(groups.transpose(1, 0, 2)))
+            self.kappa.append(np.concatenate([weights, kappa_grouped[keep]]))
         # G as [o, s'] per action for mixing with alpha vectors.
         self.obs = [model.observation_kernel[a].T.copy() for a in range(model.n_actions)]
 
 
-def alpha_given_a_tau_o(model, vf: ValueFunction, action: int, tau: float, observation: int):
-    """Project every alpha vector through one (action, time, observation).
+def _law_masks(model, action: int) -> np.ndarray:
+    """[d, s, s'] boolean cells of each distinct sojourn law under ``action``."""
+    laws = {}
+    for (s, a, s2), dist in model.sojourn.items():
+        if a == action:
+            laws.setdefault(dist, []).append((s, s2))
+    masks = np.zeros((len(laws), model.n_states, model.n_states), dtype=bool)
+    for mask, cells in zip(masks, laws.values()):
+        mask[tuple(np.array(cells).T)] = True
+    return masks
 
-    Returns an [len(vf), s] array whose rows are
-    ``sum_s' G(o|a,s') P(s'|s,a) f(tau|s,a,s') alpha(s')``.
+
+# Elements of the largest block one chunk of a batched backup materializes:
+# the [b, g, o, v] scores and the [b, g, o, s'] chosen vectors (1 MB of
+# float64). Larger blocks were no faster on the built-in models; at 4 MB the
+# maintenance solve used 1.6x its wall time in CPU, as BLAS split the products
+# over threads, and its peak memory grew by 4 MB.
+BACKUP_CHUNK_ELEMENTS = 1 << 17
+
+
+def backup_beliefs(model, vf: ValueFunction, beliefs: np.ndarray, cache: BackupCache):
+    """Bellman backups at every row of an [n, s] belief matrix.
+
+    Returns ``(values, actions)``: the [n, s] backed-up alpha vectors and the
+    [n] actions that produced them. Each row maximizes over the actions
+    admissible in every state of its support, with ties going to the lowest
+    action. Beliefs are processed in chunks so the score tensor stays small.
     """
-    f = model.sojourn_density_matrix(action, tau)
-    weighted = model.transition[:, action, :] * f  # [s, s']
-    g_col = model.observation_kernel[action, :, observation]  # [s']
-    return vf.matrix @ (weighted * g_col[None, :]).T
+    beliefs = np.asarray(beliefs, dtype=float)
+    n_beliefs, n_states = beliefs.shape
+    # inadmissible[b, a]: some state in belief b's support forbids action a.
+    inadmissible = ((beliefs > 0)[:, :, None] & ~model.admissible[None]).any(axis=1)
+    if inadmissible.all(axis=1).any():
+        raise ValueError("a belief's support has no commonly admissible action")
+    alpha_mat = vf.matrix  # [v, s']
+    n_v = alpha_mat.shape[0]
+    n_obs = model.n_observations
+    best_values = np.empty((n_beliefs, n_states))
+    best_actions = np.empty(n_beliefs, dtype=int)
+    best_score = np.full(n_beliefs, -np.inf)
+    for a in range(model.n_actions):
+        n_g = cache.kappa[a].size
+        g_a = cache.obs[a]  # [o, s']
+        mixed = g_a[:, None, :] * alpha_mat[None, :, :]  # [o, v, s']
+        mixed_flat = mixed.reshape(n_obs * n_v, n_states)
+        m_flat = cache.trans_sojourn[a].reshape(n_states, -1)  # [s, g s']
+        chunk = max(1, BACKUP_CHUNK_ELEMENTS // max(n_g * n_obs * max(n_v, n_states), 1))
+        for lo in range(0, n_beliefs, chunk):
+            rows = slice(lo, lo + chunk)
+            allowed = ~inadmissible[rows, a]
+            if not allowed.any():
+                continue
+            xi = beliefs[rows]
+            n_b = xi.shape[0]
+            predicted = (xi @ m_flat).reshape(n_b * n_g, n_states)  # [b g, s']
+            # score[b, g, o, v] = sum_s' predicted[b,g,s'] G[o,s'] alpha[v,s']
+            scores = (predicted @ mixed_flat.T).reshape(n_b, n_g, n_obs, n_v)
+            winners = scores.argmax(axis=3)  # [b, g, o]
+            chosen = mixed[np.arange(n_obs), winners]  # [b, g, o, s']
+            future = cache.kappa[a][:, None] * chosen.sum(axis=2)  # [b, g, s']
+            alpha_a = cache.stage_reward[:, a] + future.reshape(n_b, n_g * n_states) @ m_flat.T
+            score = np.einsum("bs,bs->b", xi, alpha_a)
+            # Basic slices are views: these assignments write through. The
+            # strict comparison keeps the lowest action on ties.
+            better = allowed & (score > best_score[rows])
+            best_score[rows][better] = score[better]
+            best_values[rows][better] = alpha_a[better]
+            best_actions[rows][better] = a
+    return best_values, best_actions
 
 
 def backup(model, vf: ValueFunction, bank: SampleBank, belief, cache: BackupCache = None):
     """One Bellman backup at ``belief`` using the sampled-time estimator."""
     if cache is None:
         cache = BackupCache(model, bank)
-    xi = np.asarray(belief, dtype=float)
-    alpha_mat = vf.matrix  # [v, s']
-    n_v = alpha_mat.shape[0]
-    n_obs = model.n_observations
-
-    best_alpha = None
-    best_value = -np.inf
-    best_action = -1
-    for a in model.admissible_actions(xi):
-        m_a = cache.trans_sojourn[a]  # [g, s, s']
-        g_a = cache.obs[a]  # [o, s']
-        predicted = np.einsum("s,nst->nt", xi, m_a)  # [g, s']
-        # score[g, o, v] = sum_s' predicted[g,s'] G[o,s'] alpha[v,s']
-        mixed = (g_a[:, None, :] * alpha_mat[None, :, :]).reshape(n_obs * n_v, -1)
-        scores = (predicted @ mixed.T).reshape(-1, n_obs, n_v)
-        winners = scores.argmax(axis=2)  # [g, o]
-        chosen = alpha_mat[winners]  # [g, o, s']
-        future = cache.kappa[a][:, None] * np.einsum("ot,not->nt", g_a, chosen)  # [g, s']
-        alpha_a = cache.stage_reward[:, a] + np.einsum("nst,nt->s", m_a, future)
-        value = float(xi @ alpha_a)
-        if value > best_value:
-            best_value = value
-            best_alpha = alpha_a
-            best_action = int(a)
-    return AlphaVector(best_alpha, best_action)
+    values, actions = backup_beliefs(model, vf, np.asarray(belief, dtype=float)[None], cache)
+    return AlphaVector(values[0], int(actions[0]))
 
 
 def _is_duplicate(values: np.ndarray, collected: list) -> bool:
@@ -285,14 +353,12 @@ def _bellman_sweep(model, vf: ValueFunction, bank: SampleBank,
     certifies (or refutes) stability under backups at all of B.
     """
     belief_mat = bank.belief_matrix()
-    values = vf.values_at(belief_mat)
+    values, actions = backup_beliefs(model, vf, belief_mat, cache)
+    improved = np.einsum("bs,bs->b", belief_mat, values) > vf.values_at(belief_mat) + epsilon
     improving = []
-    for xi, old in zip(belief_mat, values):
-        alpha = backup(model, vf, bank, xi, cache)
-        if float(xi @ alpha.values) > old + epsilon and not _is_duplicate(
-            alpha.values, improving
-        ):
-            improving.append(alpha)
+    for b in np.flatnonzero(improved):
+        if not _is_duplicate(values[b], improving):
+            improving.append(AlphaVector(values[b], int(actions[b])))
     return improving
 
 
@@ -307,6 +373,7 @@ def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = No
     within ``max_iters`` is reported on the result, not raised. The default
     epsilon scales with the largest stage-reward magnitude.
     """
+    start = time.perf_counter()
     if epsilon is None:
         epsilon = 1e-4 * max(np.abs(compute_stage_reward(model).values).max(), 1.0)
     if epsilon <= 0:
@@ -319,7 +386,6 @@ def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = No
 
     result = SolveResult(value_function=vf)
     for iteration in range(1, max_iters + 1):
-        start = time.perf_counter()
         vf = perseus_update(model, vf, bank, rng, cache)
         new_values = vf.values_at(belief_mat)
         diffs = new_values - values
@@ -328,23 +394,25 @@ def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = No
             n_vectors=len(vf),
             residual=float(np.max(np.abs(diffs))),
             min_improvement=float(diffs.min()),
-            wall_time=time.perf_counter() - start,
+            wall_time=0.0,
         )
         values = new_values
-        result.value_function = vf
         if record.residual < epsilon:
             improving = _bellman_sweep(model, vf, bank, cache, epsilon)
-            if not improving:
-                result.trace.append(record)
+            if improving:
+                vf = ValueFunction(vf.vectors + improving)
+                values = vf.values_at(belief_mat)
+                record.residual = float(np.max(values - new_values))
+                record.n_vectors = len(vf)
+            else:
                 result.converged = True
-                break
-            vf = ValueFunction(vf.vectors + improving)
-            values = vf.values_at(belief_mat)
-            record.residual = float(np.max(values - new_values))
-            record.n_vectors = len(vf)
-            record.wall_time = time.perf_counter() - start
-            result.value_function = vf
+        result.value_function = vf
+        # Records tile the solve's time; the first one also carries the set-up.
+        now = time.perf_counter()
+        record.wall_time, start = now - start, now
         result.trace.append(record)
+        if result.converged:
+            break
     return result
 
 

@@ -63,6 +63,18 @@ def brute_force_backup(model, vf, bank, belief):
     return best_values, best_action
 
 
+def alpha_given_a_tau_o(model, vf, action, tau, observation):
+    """Project every alpha vector through one (action, time, observation).
+
+    Returns an [len(vf), s] array whose rows are
+    ``sum_s' G(o|a,s') P(s'|s,a) f(tau|s,a,s') alpha(s')``.
+    """
+    f = model.sojourn_density_matrix(action, tau)
+    weighted = model.transition[:, action, :] * f  # [s, s']
+    g_col = model.observation_kernel[action, :, observation]  # [s']
+    return vf.matrix @ (weighted * g_col[None, :]).T
+
+
 def _density(model, s, a, s2, tau):
     """Mixed-measure sojourn density for one transition, scalar form."""
     if model.transition[s, a, s2] == 0.0:

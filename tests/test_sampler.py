@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import posmdp
+from posmdp.belief import observation_time_likelihood, update_with_time
 from posmdp.sampler import (
     SampleBank,
+    _sample_index,
     bank_from_dict,
     bank_to_dict,
     collect,
@@ -14,6 +16,26 @@ from posmdp.sampler import (
     mixture_density,
     save_bank,
 )
+
+
+def reference_collect(model, n, seed):
+    """Collection loop written with the public filter functions: the
+    likelihood picks the observation, then the full time-aware update runs."""
+    rng = np.random.default_rng(seed)
+    beliefs = [np.array(model.initial_belief, dtype=float)]
+    origins = []
+    while len(beliefs) < n:
+        xi = beliefs[rng.integers(len(beliefs))]
+        s = _sample_index(rng, xi)
+        admissible = np.flatnonzero(model.admissible[s])
+        a = int(admissible[rng.integers(admissible.size)])
+        s2 = _sample_index(rng, model.transition[s, a])
+        tau = float(model.sojourn[(s, a, s2)].sample(rng))
+        origins.append((s, a, s2))
+        masses, total = observation_time_likelihood(model, xi, a, tau)
+        o = _sample_index(rng, masses / total)
+        beliefs.append(update_with_time(model, xi, a, tau, o))
+    return beliefs, origins
 
 
 class TestCollect:
@@ -55,6 +77,27 @@ class TestCollect:
             np.testing.assert_array_equal(x, y)
         b3 = collect(maintenance_model, 50, seed=12)
         assert not np.array_equal(b1.times, b3.times)
+
+    @pytest.mark.parametrize("name", ["maintenance", "bus"])
+    def test_matches_reference_filter(self, name, maintenance_model, bus_model):
+        model = maintenance_model if name == "maintenance" else bus_model
+        bank = collect(model, 150, seed=13)
+        ref_beliefs, ref_origins = reference_collect(model, 150, 13)
+        assert [tuple(o) for o in bank.origins] == ref_origins
+        for got, want in zip(bank.beliefs, ref_beliefs):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_one_density_evaluation_per_step(self, maintenance_model, monkeypatch):
+        calls = []
+        original = posmdp.PosmdpModel.sojourn_density_matrix
+
+        def counted(self, a, tau):
+            calls.append((a, tau))
+            return original(self, a, tau)
+
+        monkeypatch.setattr(posmdp.PosmdpModel, "sojourn_density_matrix", counted)
+        collect(maintenance_model, 40, seed=0)
+        assert len(calls) == 39
 
     def test_invalid_count(self, maintenance_model):
         with pytest.raises(ValueError):

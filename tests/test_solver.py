@@ -1,11 +1,13 @@
 """Solver checks: initial bounds, backups vs a brute-force oracle, the
 randomized update pass, the outer loop, and policy files."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
-from oracles import brute_force_backup
+from oracles import alpha_given_a_tau_o, brute_force_backup
 
 import posmdp
 from posmdp.sampler import SampleBank, collect
@@ -15,8 +17,9 @@ from posmdp.solver import (
     InitialValueError,
     PolicyMismatchError,
     ValueFunction,
-    alpha_given_a_tau_o,
+    _bellman_sweep,
     backup,
+    backup_beliefs,
     conservative_value_function,
     constant_value_function,
     initial_value_function,
@@ -191,6 +194,142 @@ class TestBackup:
         assert a1.action == a2.action
 
 
+def make_shared_law_model(laws, n_states=3, n_observations=2, seed=0):
+    """Random model in which ``laws[a](s, s2)`` gives the sojourn law of each
+    triple under action ``a``, so triples can share one law."""
+    rng = np.random.default_rng(seed)
+    n_actions = len(laws)
+    return posmdp.PosmdpModel(
+        states=tuple(f"s{i}" for i in range(n_states)),
+        actions=tuple(f"a{i}" for i in range(n_actions)),
+        observations=tuple(f"o{i}" for i in range(n_observations)),
+        transition=rng.dirichlet(np.ones(n_states), size=(n_states, n_actions)),
+        sojourn={(s, a, s2): law(s, s2) for a, law in enumerate(laws)
+                 for s in range(n_states) for s2 in range(n_states)},
+        observation_kernel=rng.dirichlet(np.ones(n_observations),
+                                         size=(n_actions, n_states)),
+        lump_reward=rng.normal(size=(n_states, n_actions)),
+        rate_reward=rng.normal(size=(n_states, n_actions, n_states)),
+        beta=0.05,
+        initial_belief=rng.dirichlet(np.ones(n_states)),
+    )
+
+
+def unmerged_group_counts(model, bank):
+    """Per action, the unique sampled times with nonzero density."""
+    taus = np.unique(bank.times)
+    return [
+        int(model.sojourn_density_samples(a, taus).reshape(taus.size, -1).any(axis=1).sum())
+        for a in range(model.n_actions)
+    ]
+
+
+CONTINUOUS = posmdp.InverseGaussian(4.0, 160.0)
+ATOM = posmdp.DeterministicAtom(3.0)
+
+
+class TestSampleGroupMerge:
+    @pytest.mark.parametrize("laws, merged", [
+        # One continuous law per action.
+        ((lambda s, s2: CONTINUOUS, lambda s, s2: posmdp.InverseGaussian(7.0, 490.0)),
+         [1, 1]),
+        # One atom law for one action, one continuous law for the other.
+        ((lambda s, s2: ATOM, lambda s, s2: CONTINUOUS), [1, 1]),
+        # Action 0 mixes an atom law and a continuous law over its cells.
+        ((lambda s, s2: ATOM if s2 == 0 else CONTINUOUS, lambda s, s2: CONTINUOUS),
+         [2, 1]),
+    ])
+    def test_merged_backup_matches_brute_force(self, laws, merged):
+        m = make_shared_law_model(laws)
+        bank = collect(m, 25, seed=1)
+        cache = BackupCache(m, bank)
+        assert [k.size for k in cache.kappa] == merged
+        assert sum(unmerged_group_counts(m, bank)) > sum(merged)
+        rng = np.random.default_rng(2)
+        for _ in range(6):
+            vf = ValueFunction([AlphaVector(rng.normal(size=3) * 10, int(rng.integers(2)))
+                                for _ in range(3)])
+            xi = rng.dirichlet(np.ones(3))
+            alpha = backup(m, vf, bank, xi, cache)
+            ref_values, ref_action = brute_force_backup(m, vf, bank, xi)
+            np.testing.assert_allclose(alpha.values, ref_values, atol=1e-10)
+            assert alpha.action == ref_action
+
+    def test_maintenance_collapses_to_one_group_per_action(self, maintenance_model):
+        bank = collect(maintenance_model, 300, seed=0)
+        assert unmerged_group_counts(maintenance_model, bank)[3] > 1
+        cache = BackupCache(maintenance_model, bank)
+        assert [k.size for k in cache.kappa] == [1, 1, 1, 1]
+
+    def test_bus_is_not_merged(self, bus_model):
+        # Bus rides have five inverse-Gaussian laws active at every time.
+        bank = collect(bus_model, 300, seed=0)
+        cache = BackupCache(bus_model, bank)
+        assert [k.size for k in cache.kappa] == unmerged_group_counts(bus_model, bank)
+
+
+def loop_sweep(model, vf, bank, cache, epsilon):
+    """Reference verification sweep: one backup per belief, in order."""
+    improving = []
+    for xi, old in zip(bank.belief_matrix(), vf.values_at(bank.belief_matrix())):
+        alpha = backup(model, vf, bank, xi, cache)
+        if float(xi @ alpha.values) > old + epsilon and not any(
+            np.max(np.abs(alpha.values - other.values)) <= 1e-9 for other in improving
+        ):
+            improving.append(alpha)
+    return improving
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("name", ["maintenance", "bus"])
+    def test_sweep_matches_loop_of_backups(self, name, maintenance_model, bus_model):
+        m = maintenance_model if name == "maintenance" else bus_model
+        bank = collect(m, 120, seed=3)
+        cache = BackupCache(m, bank)
+        vf = conservative_value_function(m)
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            epsilon = 1e-4 * np.abs(cache.stage_reward).max()
+            got = _bellman_sweep(m, vf, bank, cache, epsilon)
+            want = loop_sweep(m, vf, bank, cache, epsilon)
+            assert got, "the sweep should find improvements"
+            assert [a.action for a in got] == [a.action for a in want]
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-9)
+            vf = perseus_update(m, vf, bank, rng, cache)
+
+    def test_kernel_respects_admissibility(self, random_model_factory):
+        rng = np.random.default_rng(5)
+        m = random_model_factory(rng)
+        # Action 1 pays far more but is forbidden in state 0.
+        lump = m.lump_reward.copy()
+        lump[:, 1] += 1000.0
+        admissible = np.ones((3, 2), dtype=bool)
+        admissible[0, 1] = False
+        m = dataclasses.replace(m, lump_reward=lump, admissible=admissible)
+        bank = collect(m, 20, seed=6)
+        beliefs = np.vstack([rng.dirichlet(np.ones(3), size=20),
+                             np.hstack([np.zeros((20, 1)), rng.dirichlet(np.ones(2), size=20)])])
+        vf = ValueFunction([AlphaVector(rng.normal(size=3), i % 2) for i in range(4)])
+        values, actions = backup_beliefs(m, vf, beliefs, BackupCache(m, bank))
+        support_has_0 = beliefs[:, 0] > 0
+        assert np.all(actions[support_has_0] == 0)
+        assert np.all(actions[~support_has_0] == 1)
+        for xi, row, action in zip(beliefs[::7], values[::7], actions[::7]):
+            ref_values, ref_action = brute_force_backup(m, vf, bank, xi)
+            np.testing.assert_allclose(row, ref_values, atol=1e-10)
+            assert action == ref_action
+
+    def test_no_admissible_action_is_an_error(self, random_model_factory):
+        rng = np.random.default_rng(7)
+        m = random_model_factory(rng)
+        m = dataclasses.replace(m, admissible=np.array([[True, False], [False, True],
+                                                        [True, True]]))
+        bank = collect(m, 5, seed=0)
+        with pytest.raises(ValueError):
+            backup(m, constant_value_function(m, 0.0), bank, [0.5, 0.5, 0.0])
+
+
 class TestPerseusUpdate:
     def test_weak_improvement_everywhere(self, rng, random_model_factory):
         m = random_model_factory(rng)
@@ -230,6 +369,16 @@ class TestSolve:
                        epsilon=1e-12, max_iters=2, seed=6)
         assert not result.converged
         assert result.iterations == 2
+
+    def test_trace_accounts_for_the_whole_solve(self, maintenance_model):
+        bank = collect(maintenance_model, 300, seed=0)
+        start = time.perf_counter()
+        result = solve(maintenance_model, bank,
+                       v0=conservative_value_function(maintenance_model), seed=0)
+        elapsed = time.perf_counter() - start
+        assert result.converged
+        traced = sum(rec.wall_time for rec in result.trace)
+        assert 0.0 <= elapsed - traced <= 0.005
 
     def test_bad_epsilon(self, random_model_factory):
         rng = np.random.default_rng(10)
