@@ -59,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--observation-bins", type=_positive(int), default=100,
                        help="observation discretization for built-in models that "
                             "use one (default 100)")
-        p.add_argument("--threads", type=_positive(int), default=1,
-                       help="worker threads (default 1; all commands currently "
-                            "run single-threaded regardless)")
 
     p_solve = sub.add_parser("solve", help="collect beliefs and solve a model")
     add_common(p_solve)

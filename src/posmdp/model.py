@@ -67,6 +67,13 @@ class MixedObservable:
 
 @dataclass(frozen=True)
 class PosmdpModel:
+    """Model arrays plus the sojourn-law table built from ``sojourn``.
+
+    ``sojourn_laws[a]`` lists each distinct law under action ``a`` once
+    (dataclass equality, in order of first appearance) as a pair
+    ``(dist, (rows, cols))`` of the law and the ``[s, s']`` cells it governs.
+    """
+
     states: tuple
     actions: tuple
     observations: tuple
@@ -78,27 +85,33 @@ class PosmdpModel:
     beta: float
     initial_belief: np.ndarray
     admissible: np.ndarray = None  # bool [s, a]; default all actions everywhere
-    initial_observation_kernel: np.ndarray = None  # optional [s', o]
     mixed_observable: MixedObservable = None
-    horizon: float = math.inf
 
     def __post_init__(self):
+        n_s, n_a, n_o = self.n_states, self.n_actions, self.n_observations
         if self.admissible is None:
-            object.__setattr__(
-                self, "admissible", np.ones((self.n_states, self.n_actions), dtype=bool)
-            )
+            object.__setattr__(self, "admissible", np.ones((n_s, n_a), dtype=bool))
         for name in ("transition", "observation_kernel", "lump_reward", "rate_reward",
                      "initial_belief"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(
-            self,
-            "atom_values",
-            frozenset(d.atom for d in self.sojourn.values() if d.atom is not None),
-        )
-        by_action = [[] for _ in self.actions]
+        shapes = {"transition": (n_s, n_a, n_s), "observation_kernel": (n_a, n_s, n_o),
+                  "lump_reward": (n_s, n_a), "rate_reward": (n_s, n_a, n_s),
+                  "initial_belief": (n_s,), "admissible": (n_s, n_a)}
+        for name, shape in shapes.items():
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}, expected {shape}")
+        laws = [{} for _ in self.actions]
         for (s, a, s2), dist in self.sojourn.items():
-            by_action[a].append((s, s2, dist))
-        object.__setattr__(self, "_sojourn_by_action", tuple(tuple(v) for v in by_action))
+            if not (0 <= s < n_s and 0 <= a < n_a and 0 <= s2 < n_s):
+                raise ValueError(f"sojourn key (s={s}, a={a}, s'={s2}) is out of range")
+            laws[a].setdefault(dist, []).append((s, s2))
+        object.__setattr__(self, "sojourn_laws", tuple(
+            tuple((dist, tuple(np.array(cells).T)) for dist, cells in by_law.items())
+            for by_law in laws
+        ))
+        object.__setattr__(self, "atom_values", frozenset(
+            d.atom for d in self.sojourn.values() if d.atom is not None))
 
     @property
     def n_states(self):
@@ -118,26 +131,23 @@ class PosmdpModel:
         mask = self.admissible[support].all(axis=0)
         return np.flatnonzero(mask)
 
-    def sojourn_density(self, s: int, a: int, s_next: int, tau) -> float:
-        """Mixed-measure sojourn density f(tau | s, a, s')."""
-        dist = self.sojourn.get((s, a, s_next))
-        if dist is None:
-            return 0.0
-        return mixed_density(dist, tau, self.atom_values)
-
     def sojourn_density_matrix(self, a: int, tau: float) -> np.ndarray:
-        """All f(tau | s, a, s') as an [s, s'] array (zero where P = 0)."""
+        """Mixed-measure f(tau | s, a, s') as an [s, s'] array.
+
+        Zero where the model gives no sojourn law; one density evaluation per
+        distinct law.
+        """
         out = np.zeros((self.n_states, self.n_states))
-        for s, s2, dist in self._sojourn_by_action[a]:
-            out[s, s2] = mixed_density(dist, tau, self.atom_values)
+        for dist, cells in self.sojourn_laws[a]:
+            out[cells] = mixed_density(dist, tau, self.atom_values)
         return out
 
     def sojourn_density_samples(self, a: int, taus: np.ndarray) -> np.ndarray:
         """f(tau_n | s, a, s') for a vector of times, shaped [n, s, s']."""
-        taus = np.asarray(taus, dtype=float)
+        taus = np.asarray(taus, dtype=float).reshape(-1)
         out = np.zeros((taus.size, self.n_states, self.n_states))
-        for s, s2, dist in self._sojourn_by_action[a]:
-            out[:, s, s2] = mixed_density(dist, taus, self.atom_values)
+        for dist, (rows, cols) in self.sojourn_laws[a]:
+            out[:, rows, cols] = mixed_density(dist, taus, self.atom_values)[:, None]
         return out
 
 
@@ -189,6 +199,13 @@ def validate(model: PosmdpModel) -> ValidationReport:
     report = ValidationReport()
     v = report.violations
 
+    if not (math.isfinite(model.beta) and model.beta >= 0):
+        v.append(f"discount rate beta must be finite and nonnegative, got {model.beta}")
+    for name in ("transition", "observation_kernel", "initial_belief", "lump_reward",
+                 "rate_reward"):
+        if not np.all(np.isfinite(getattr(model, name))):
+            v.append(f"{name} has non-finite entries")
+
     for s in range(model.n_states):
         for a in range(model.n_actions):
             row = model.transition[s, a]
@@ -215,9 +232,6 @@ def validate(model: PosmdpModel) -> ValidationReport:
     if abs(model.initial_belief.sum() - 1.0) > BELIEF_SUM_TOL:
         v.append(f"initial belief sums to {model.initial_belief.sum():.15g}, not 1")
 
-    if not np.all(np.isfinite(model.lump_reward)) or not np.all(np.isfinite(model.rate_reward)):
-        v.append("rewards must be finite")
-
     if not model.admissible.any(axis=1).all():
         v.append("every state needs at least one admissible action")
 
@@ -229,7 +243,7 @@ def validate(model: PosmdpModel) -> ValidationReport:
                 (model.transition[s, a, s2], model.sojourn.get((s, a, int(s2))))
                 for s2 in np.flatnonzero(model.transition[s, a] > 0)
             ]
-            if any(d is None for _, d in dists):
+            if not dists or any(d is None for _, d in dists):
                 continue  # already reported above
             floors = [d.atom if d.atom is not None else d.mean() for _, d in dists]
             tau_check = min(floors) / 2.0
@@ -455,7 +469,7 @@ def build_builtin(name: str, observation_bins: int = 100) -> PosmdpModel:
 
 _TOP_LEVEL_KEYS = {
     "version", "states", "actions", "admissible", "observations", "transition",
-    "sojourn", "observation_kernel", "g0", "r1", "r2", "beta", "initial_belief",
+    "sojourn", "observation_kernel", "r1", "r2", "beta", "initial_belief",
     "mixed_observable",
 }
 
@@ -503,8 +517,6 @@ def model_to_dict(model: PosmdpModel) -> dict:
             [model.actions[a] for a in np.flatnonzero(model.admissible[s])]
             for s in range(model.n_states)
         ]
-    if model.initial_observation_kernel is not None:
-        doc["g0"] = np.asarray(model.initial_observation_kernel).tolist()
     if model.mixed_observable is not None:
         doc["mixed_observable"] = {
             "observable_labels": list(model.mixed_observable.observable_labels),
@@ -570,14 +582,13 @@ def model_from_dict(doc: dict) -> PosmdpModel:
 
     admissible = None
     if "admissible" in doc:
-        admissible = np.zeros((len(states), len(actions)), dtype=bool)
         for s, names in enumerate(doc["admissible"]):
-            for name in names:
-                try:
-                    admissible[s, actions.index(name)] = True
-                except ValueError:
-                    raise ModelFormatError(f"admissible action {name!r} for state {s} "
-                                           "is not in the action list") from None
+            unknown = sorted(set(names) - set(actions))
+            if unknown:
+                raise ModelFormatError(f"admissible action {unknown[0]!r} for state {s} "
+                                       "is not in the action list")
+        admissible = np.array([[name in names for name in actions]
+                               for names in doc["admissible"]], dtype=bool)
 
     mixed = None
     if "mixed_observable" in doc:
@@ -601,9 +612,6 @@ def model_from_dict(doc: dict) -> PosmdpModel:
             beta=float(doc["beta"]),
             initial_belief=np.asarray(doc["initial_belief"], dtype=float),
             admissible=admissible,
-            initial_observation_kernel=(
-                np.asarray(doc["g0"], dtype=float) if "g0" in doc else None
-            ),
             mixed_observable=mixed,
         )
     except (ValueError, TypeError) as exc:

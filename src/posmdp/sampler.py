@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .belief import condition, predict_with_time
+from .distributions import mixed_density
 # Kept as names of this module: bench/tracer.py wraps the filter here.
 from .belief import observation_time_likelihood, update_with_time  # noqa: F401
 
@@ -95,26 +96,15 @@ def collect(model, n: int, seed: int) -> SampleBank:
 def mixture_density(bank: SampleBank, model, tau):
     """Proposal density D(tau) = sum over transitions of w * f.
 
-    Under the mixed base measure only atom components contribute at an atom
-    point and only continuous components contribute elsewhere; scalar or
-    array ``tau``.
+    ``f`` is the mixed-measure density of :func:`mixed_density`, so at an
+    atom point only atom components contribute and elsewhere only continuous
+    ones; scalar or array ``tau``.
     """
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
     out = np.zeros_like(tau_arr)
-    atom_mass = {}
-    for (s, a, s2), w in np.ndenumerate(bank.weights):
-        if w == 0.0:
-            continue
-        dist = model.sojourn[(s, a, s2)]
-        if dist.atom is not None:
-            atom_mass[dist.atom] = atom_mass.get(dist.atom, 0.0) + w
-        else:
-            out += w * dist.pdf(tau_arr)
-    if model.atom_values:
-        at_atom = np.isin(tau_arr, np.fromiter(model.atom_values, dtype=float))
-        out[at_atom] = 0.0
-        for value, mass in atom_mass.items():
-            out[tau_arr == value] += mass
+    for key, w in np.ndenumerate(bank.weights):
+        if w != 0.0:
+            out += w * mixed_density(model.sojourn[key], tau_arr, model.atom_values)
     return out if np.ndim(tau) else float(out[0])
 
 

@@ -111,20 +111,19 @@ def initial_value_function(model, bank: SampleBank) -> ValueFunction:
     """Uniform lower bound M / (1 - lambda) from the worst stage reward M.
 
     ``lambda`` is the extreme importance ratio over the collected samples
-    (minimum when M >= 0, maximum when M < 0, so the bound errs downward).
-    Raises :class:`InitialValueError` when that ratio reaches 1, in which
-    case callers should supply an explicit pessimistic bound via
+    (minimum when M >= 0, maximum when M < 0, so the bound errs downward);
+    with no samples it is :func:`conservative_value_function`. Raises
+    :class:`InitialValueError` when that ratio reaches 1, in which case
+    callers should supply an explicit pessimistic bound via
     :func:`constant_value_function` instead.
     """
+    if bank.n_samples == 0:
+        return conservative_value_function(model)
     m_min = compute_stage_reward(model).minimum()
     if m_min == 0.0:
         return constant_value_function(model, 0.0)
-    if bank.n_samples > 0:
-        ratios = np.exp(-model.beta * bank.times) / mixture_density(bank, model, bank.times)
-        lam = float(ratios.min() if m_min > 0 else ratios.max())
-    else:
-        discounts = [d.expected_discount(model.beta) for d in model.sojourn.values()]
-        lam = min(discounts) if m_min > 0 else max(discounts)
+    ratios = np.exp(-model.beta * bank.times) / mixture_density(bank, model, bank.times)
+    lam = float(ratios.min() if m_min > 0 else ratios.max())
     if lam >= 1.0:
         raise InitialValueError(
             f"extreme importance ratio {lam:.6g} >= 1; the closed-form initial bound "
@@ -164,10 +163,11 @@ class BackupCache:
     Samples with equal tau share one group: the density depends on a sample
     only through tau, so the thousands of repeats that atom-valued sojourn
     laws produce collapse exactly. Within an action, the triples are then
-    split by sojourn law (dataclass equality). At a time where exactly one
-    law ``d`` has nonzero density the slice is ``f_d(tau) P_a`` masked to
-    ``d``'s cells, so all such times fold into one group per law, with slice
-    ``P_a`` masked to ``d``'s cells and weight ``sum_g kappa_g f_d(tau_g)``.
+    split by sojourn law, taken from the model's law table
+    ``model.sojourn_laws``. At a time where exactly one law ``d`` has nonzero
+    density the slice is ``f_d(tau) P_a`` masked to ``d``'s cells, so all
+    such times fold into one group per law, with slice ``P_a`` masked to
+    ``d``'s cells and weight ``sum_g kappa_g f_d(tau_g)``.
     This is exact: a backup takes, per group and observation, the argmax over
     alpha vectors of a linear score, which positive scaling leaves unchanged,
     and its contribution is linear in the slice. Times at which two or more
@@ -188,17 +188,19 @@ class BackupCache:
         for a in range(model.n_actions):
             transition = model.transition[:, a, :]
             f_vals = model.sojourn_density_samples(a, unique_taus)  # [n, s, s']
-            masks = _law_masks(model, a)  # [d, s, s']
-            # f_d(tau) of each law, read at one of its cells: [d, n].
-            cells = masks.reshape(len(masks), -1).argmax(axis=1)
-            law_density = f_vals.reshape(unique_taus.size, -1)[:, cells].T
+            laws = [cells for _, cells in model.sojourn_laws[a]]
+            # f_d(tau) of each law, read at its first cell: [d, n].
+            law_density = np.array([f_vals[:, rows[0], cols[0]] for rows, cols in laws]
+                                   ).reshape(len(laws), unique_taus.size)
             active = law_density > 0
             n_active = active.sum(axis=0)
             slices, weights = [], []
-            for mask, f_d, on in zip(masks, law_density, active):
+            for cells, f_d, on in zip(laws, law_density, active):
                 merge = on & (n_active == 1)
                 if merge.any():
-                    slices.append(transition * mask)
+                    masked = np.zeros_like(transition)
+                    masked[cells] = transition[cells]
+                    slices.append(masked)
                     weights.append(kappa_grouped[merge] @ f_d[merge])
             keep = np.flatnonzero(n_active > 1)
             groups = np.concatenate([np.array(slices).reshape(-1, *transition.shape),
@@ -207,18 +209,6 @@ class BackupCache:
             self.kappa.append(np.concatenate([weights, kappa_grouped[keep]]))
         # G as [o, s'] per action for mixing with alpha vectors.
         self.obs = [model.observation_kernel[a].T.copy() for a in range(model.n_actions)]
-
-
-def _law_masks(model, action: int) -> np.ndarray:
-    """[d, s, s'] boolean cells of each distinct sojourn law under ``action``."""
-    laws = {}
-    for (s, a, s2), dist in model.sojourn.items():
-        if a == action:
-            laws.setdefault(dist, []).append((s, s2))
-    masks = np.zeros((len(laws), model.n_states, model.n_states), dtype=bool)
-    for mask, cells in zip(masks, laws.values()):
-        mask[tuple(np.array(cells).T)] = True
-    return masks
 
 
 # Elements of the largest block one chunk of a batched backup materializes:

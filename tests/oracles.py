@@ -7,8 +7,6 @@ with the package is evidence of correctness rather than tautology.
 
 import numpy as np
 
-from posmdp.sampler import mixture_density
-
 
 def brute_force_backup(model, vf, bank, belief):
     """Loop-by-loop evaluation of the importance-sampled Bellman backup.
@@ -104,3 +102,28 @@ def stage_reward_table(model):
                     total += p * model.rate_reward[s, a, s2] * model.sojourn[(s, a, s2)].mean()
             table[s][a] = float(total)
     return table
+
+
+def mixture_density(bank, model, tau):
+    """D(tau) = sum of w * f over transitions, with the atom rule spelled out.
+
+    Continuous components are summed, then zeroed at every atom point of the
+    model, where each atom instead contributes its total weight.
+    """
+    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
+    out = np.zeros_like(tau_arr)
+    atom_mass = {}
+    for (s, a, s2), w in np.ndenumerate(bank.weights):
+        if w == 0.0:
+            continue
+        dist = model.sojourn[(s, a, s2)]
+        if dist.atom is not None:
+            atom_mass[dist.atom] = atom_mass.get(dist.atom, 0.0) + w
+        else:
+            out += w * dist.pdf(tau_arr)
+    if model.atom_values:
+        at_atom = np.isin(tau_arr, np.fromiter(model.atom_values, dtype=float))
+        out[at_atom] = 0.0
+        for value, mass in atom_mass.items():
+            out[tau_arr == value] += mass
+    return out if np.ndim(tau) else float(out[0])

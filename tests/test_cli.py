@@ -36,6 +36,16 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err
 
+    def test_wrong_shape_transition_is_format_error(self, bus_model, tmp_path, capsys):
+        doc = model_to_dict(bus_model)
+        doc["transition"] = doc["transition"][:-1]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: transition has shape")
+        assert "Traceback" not in err
+
 
 class TestCollect:
     def test_writes_bank(self, tmp_path, capsys):
@@ -191,11 +201,4 @@ class TestArguments:
         assert code == EXIT_OK
         bank = load_bank(out)
         assert all(len(b) == 4 for b in bank.beliefs)
-        capsys.readouterr()
-
-    def test_threads_flag_accepted(self, tmp_path, capsys):
-        out = tmp_path / "bank.json"
-        code = main(["collect", "bus", "--threads", "4", "--beliefs", "20",
-                     "--output", str(out)])
-        assert code == EXIT_OK
         capsys.readouterr()

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import _density
 from scipy import integrate
 
 import posmdp
@@ -240,6 +241,85 @@ class TestSojournDensities:
         np.testing.assert_array_equal(
             stacked[1], bus_model.sojourn_density_matrix(0, 30.0)
         )
+
+
+class TestSojournLaws:
+    def test_law_counts(self, bus_model, maintenance_model):
+        assert [len(laws) for laws in bus_model.sojourn_laws] == [6, 5]
+        assert [len(laws) for laws in maintenance_model.sojourn_laws] == [1, 1, 1, 1]
+
+    def test_laws_cover_every_triple_once(self, bus_model):
+        for a, laws in enumerate(bus_model.sojourn_laws):
+            seen = [(int(s), a, int(s2)) for dist, (rows, cols) in laws
+                    for s, s2 in zip(rows, cols)
+                    if bus_model.sojourn[(int(s), a, int(s2))] == dist]
+            assert sorted(seen) == sorted(k for k in bus_model.sojourn if k[1] == a)
+
+    @pytest.mark.parametrize("name", ["bus", "maintenance", "random"])
+    def test_densities_match_per_triple_oracle(self, name, bus_model, maintenance_model,
+                                               random_model_factory):
+        model = {"bus": bus_model, "maintenance": maintenance_model,
+                 "random": random_model_factory(np.random.default_rng(7), with_atoms=True)}[name]
+        atoms = sorted(model.atom_values)
+        taus = np.array([0.7, 3.0, 5.3, 9.5, 26.0] + atoms)
+        n = model.n_states
+        for a in range(model.n_actions):
+            expected = np.array([[[_density(model, s, a, s2, t) for s2 in range(n)]
+                                  for s in range(n)] for t in taus])
+            np.testing.assert_array_equal(model.sojourn_density_samples(a, taus), expected)
+            for tau, want in zip(taus, expected):
+                np.testing.assert_array_equal(model.sojourn_density_matrix(a, float(tau)), want)
+
+    def test_one_density_evaluation_per_law(self, bus_model, monkeypatch):
+        calls = []
+        original = posmdp.model.mixed_density
+
+        def counted(dist, tau, atom_values=()):
+            calls.append(dist)
+            return original(dist, tau, atom_values)
+
+        monkeypatch.setattr(posmdp.model, "mixed_density", counted)
+        for a, laws in enumerate(bus_model.sojourn_laws):
+            calls.clear()
+            bus_model.sojourn_density_matrix(a, 12.0)
+            assert calls == [dist for dist, _ in laws]
+
+
+def _append_sojourn(doc, s, a, s_next):
+    doc["sojourn"].append({"s": s, "a": a, "s_next": s_next,
+                           "dist": {"type": "atom", "c0": 1.0}})
+
+
+def _set_nan(array, *index):
+    for i in index[:-1]:
+        array = array[i]
+    array[index[-1]] = math.nan
+
+
+MALFORMED = {
+    "nan_beta": lambda doc: doc.update(beta=math.nan),
+    "negative_beta": lambda doc: doc.update(beta=-0.02),
+    "nan_observation_kernel": lambda doc: _set_nan(doc["observation_kernel"], 0, 0, 0),
+    "nan_initial_belief": lambda doc: _set_nan(doc["initial_belief"], 0),
+    "sojourn_state_too_large": lambda doc: _append_sojourn(doc, 99, 0, 3),
+    "sojourn_state_negative": lambda doc: _append_sojourn(doc, -1, 0, 3),
+    "r1_wrong_shape": lambda doc: doc.update(r1=doc["r1"][:-1]),
+    "transition_missing_row": lambda doc: doc.update(transition=doc["transition"][:-1]),
+    "kernel_missing_action": lambda doc: doc.update(
+        observation_kernel=doc["observation_kernel"][:1]),
+    "sojourn_action_too_large": lambda doc: _append_sojourn(doc, 0, 5, 3),
+    "nan_transition": lambda doc: _set_nan(doc["transition"], 0, 0, 3),
+    "admissible_extra_row": lambda doc: doc.update(admissible=[["bus", "bike"]] * 16),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("mutation", sorted(MALFORMED))
+    def test_rejected_as_format_error(self, mutation, bus_model):
+        doc = model_to_dict(bus_model)
+        MALFORMED[mutation](doc)
+        with pytest.raises(ModelFormatError):
+            load_model(json.dumps(doc))
 
 
 class TestSerialization:

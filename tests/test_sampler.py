@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import oracles
 
 import posmdp
 from posmdp.belief import observation_time_likelihood, update_with_time
@@ -144,6 +145,19 @@ class TestMixtureDensity:
         # Away from atoms, only the continuous part contributes.
         d = mixture_density(bank, bus_model, 6.0)
         assert d == pytest.approx(0.5 * bus_model.sojourn[(0, 0, 3)].pdf(6.0), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["bus", "maintenance", "random"])
+    def test_matches_reference_exactly(self, name, bus_model, maintenance_model,
+                                       random_model_factory):
+        model = {"bus": bus_model, "maintenance": maintenance_model,
+                 "random": random_model_factory(np.random.default_rng(3), with_atoms=True)}[name]
+        bank = collect(model, 200, seed=2)
+        taus = np.concatenate([bank.times, sorted(model.atom_values), [0.5, 7.25, 40.0]])
+        np.testing.assert_array_equal(mixture_density(bank, model, taus),
+                                      oracles.mixture_density(bank, model, taus))
+        for tau in taus[-8:]:
+            assert mixture_density(bank, model, float(tau)) == \
+                oracles.mixture_density(bank, model, float(tau))
 
     def test_vectorized_matches_scalar(self, maintenance_model):
         bank = collect(maintenance_model, 50, seed=4)

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import alpha_given_a_tau_o, brute_force_backup
+from oracles import _density, alpha_given_a_tau_o, brute_force_backup
 
 import posmdp
 from posmdp.sampler import SampleBank, collect
@@ -155,7 +155,7 @@ class TestBackup:
                 expected = sum(
                     m.observation_kernel[a, s2, o]
                     * m.transition[s, a, s2]
-                    * m.sojourn_density(s, a, s2, tau)
+                    * _density(m, s, a, s2, tau)
                     * vec.values[s2]
                     for s2 in range(3)
                 )
