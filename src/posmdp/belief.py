@@ -4,6 +4,10 @@ Beliefs are plain 1-D numpy probability vectors over the model's states.
 The time-aware update conditions on the action taken, the observed sojourn
 time, and the observation; the time-free variant marginalizes the sojourn
 time out and reduces to the classic partially-observed update.
+
+:func:`predict_with_time`, :func:`condition` and :func:`update_with_time`
+also take an ``[n, s]`` block of beliefs that took the same action, with one
+sojourn time and one observation per row; a 1-D belief is the one-row case.
 """
 
 from __future__ import annotations
@@ -45,31 +49,42 @@ def validate_belief(belief, n_states: int) -> np.ndarray:
     return belief
 
 
-def predict_with_time(model, belief, action: int, tau: float) -> np.ndarray:
+def predict_with_time(model, belief, action: int, tau) -> np.ndarray:
     """Unnormalized successor weights after acting and waiting ``tau``.
 
     Returns the [s'] vector ``sum_s xi(s) P(s' | s, a) f(tau | s, a, s')``,
     the one sojourn-density evaluation that both the observation likelihood
-    and the posterior are built from.
+    and the posterior are built from; for an [n, s] block and [n] times, the
+    [n, s'] rows.
     """
-    f = model.sojourn_density_matrix(action, tau)
-    return belief @ (model.transition[:, action, :] * f)
+    transition = model.transition[:, action, :]
+    if np.ndim(belief) == 1:
+        return belief @ (transition * model.sojourn_density_matrix(action, tau))
+    f = model.sojourn_density_samples(action, tau)  # [n, s, s']
+    return (belief[:, None, :] @ (transition * f))[:, 0, :]
 
 
-def condition(model, predicted, action: int, observation: int, tau=None) -> np.ndarray:
-    """Posterior from predicted successor weights and one observation.
+def condition(model, predicted, action: int, observation, tau=None) -> np.ndarray:
+    """Posterior from predicted successor weights and one observation per row.
 
-    Raises :class:`ImpossibleEvidenceError` when the evidence has (numerically)
-    zero likelihood; ``tau`` only labels that error.
+    Raises :class:`ImpossibleEvidenceError`, naming the first offending row's
+    evidence, when some row has (numerically) zero likelihood; ``tau`` only
+    labels that error.
     """
-    numerator = model.observation_kernel[action, :, observation] * predicted
-    normalizer = numerator.sum()
-    if normalizer < UNDERFLOW_THRESHOLD:
-        raise ImpossibleEvidenceError(action, tau, observation)
+    numerator = model.observation_kernel[action][:, observation].T * predicted
+    normalizer = numerator.sum(axis=-1, keepdims=True)
+    impossible = np.flatnonzero(normalizer < UNDERFLOW_THRESHOLD)
+    if impossible.size:
+        row = impossible[0]
+        raise ImpossibleEvidenceError(action, _row(tau, row), _row(observation, row))
     return numerator / normalizer
 
 
-def update_with_time(model, belief, action: int, tau: float, observation: int) -> np.ndarray:
+def _row(value, row):
+    return value if value is None or np.ndim(value) == 0 else value[row]
+
+
+def update_with_time(model, belief, action: int, tau, observation) -> np.ndarray:
     """Posterior over states after acting, waiting ``tau``, and observing.
 
     The posterior is proportional to

@@ -6,6 +6,11 @@ respect to a mixed (Lebesgue + counting) base measure so that atoms evaluate
 to their mass; see :func:`mixed_density` for the rule used when atoms and
 continuous laws coexist in one model.
 
+Each family's density formula is one module-level function of the time and
+the law's parameters. A law's ``pdf`` calls it with scalar parameters; a
+:class:`SojournFamily` calls it with parameter arrays over many ``[s, s']``
+cells, so a model evaluates all laws of one family in one numpy expression.
+
 All distribution objects are immutable and hashable. Samplers take an
 explicit ``numpy.random.Generator`` so callers own the random state.
 """
@@ -26,10 +31,34 @@ __all__ = [
     "TruncatedGaussian",
     "BetaDensity",
     "SojournDistribution",
+    "SojournFamily",
+    "atom_mask",
+    "draw_index",
     "mixed_density",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _inverse_gaussian_density(tau, mu, lam):
+    pos = tau > 0
+    t = np.where(pos, tau, 1.0)
+    return np.where(
+        pos,
+        np.sqrt(lam / (2.0 * np.pi * t**3)) * np.exp(-lam * (t - mu) ** 2 / (2.0 * mu**2 * t)),
+        0.0,
+    )
+
+
+def _atom_density(tau, c0):
+    # Mass w.r.t. the counting component of the base measure.
+    return (tau == c0).astype(float)
+
+
+def _truncated_gaussian_density(tau, mu, sigma, mass):
+    # ``mass`` is P(X > 0) for the untruncated Gaussian.
+    z = (tau - mu) / sigma
+    return np.where(tau > 0, np.exp(-0.5 * z * z) / (_SQRT_2PI * sigma * mass), 0.0)
 
 
 @dataclass(frozen=True)
@@ -42,23 +71,20 @@ class InverseGaussian:
     mu: float
     lam: float
 
+    density = staticmethod(_inverse_gaussian_density)
+
     def __post_init__(self):
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise ValueError(f"inverse Gaussian mean must be positive, got {self.mu}")
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError(f"inverse Gaussian shape must be positive, got {self.lam}")
 
+    @property
+    def params(self):
+        return (self.mu, self.lam)
+
     def pdf(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros_like(tau)
-        pos = tau > 0
-        t = np.where(pos, tau, 1.0)
-        out = np.where(
-            pos,
-            np.sqrt(self.lam / (2.0 * np.pi * t**3))
-            * np.exp(-self.lam * (t - self.mu) ** 2 / (2.0 * self.mu**2 * t)),
-            0.0,
-        )
+        out = self.density(np.asarray(tau, dtype=float), *self.params)
         return out if out.ndim else float(out)
 
     def cdf(self, tau):
@@ -109,13 +135,18 @@ class DeterministicAtom:
 
     c0: float
 
+    density = staticmethod(_atom_density)
+
     def __post_init__(self):
         if not (self.c0 > 0 and math.isfinite(self.c0)):
             raise ValueError(f"atom location must be positive, got {self.c0}")
 
+    @property
+    def params(self):
+        return (self.c0,)
+
     def pdf(self, tau):
-        # Mass w.r.t. the counting component of the base measure.
-        out = (np.asarray(tau, dtype=float) == self.c0).astype(float)
+        out = self.density(np.asarray(tau, dtype=float), *self.params)
         return out if out.ndim else float(out)
 
     def cdf(self, tau):
@@ -147,6 +178,8 @@ class TruncatedGaussian:
     mu: float
     sigma: float
 
+    density = staticmethod(_truncated_gaussian_density)
+
     def __post_init__(self):
         if not math.isfinite(self.mu):
             raise ValueError(f"truncated Gaussian mean must be finite, got {self.mu}")
@@ -158,14 +191,12 @@ class TruncatedGaussian:
         # P(X > 0) for the untruncated Gaussian.
         return float(ndtr(self.mu / self.sigma))
 
+    @property
+    def params(self):
+        return (self.mu, self.sigma, self._mass)
+
     def pdf(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        z = (tau - self.mu) / self.sigma
-        out = np.where(
-            tau > 0,
-            np.exp(-0.5 * z * z) / (_SQRT_2PI * self.sigma * self._mass),
-            0.0,
-        )
+        out = self.density(np.asarray(tau, dtype=float), *self.params)
         return out if out.ndim else float(out)
 
     def cdf(self, tau):
@@ -223,21 +254,68 @@ def _truncated_gaussian_discount(mu: float, sigma: float, beta: float) -> float:
 SojournDistribution = InverseGaussian | DeterministicAtom | TruncatedGaussian
 
 
-def mixed_density(dist: SojournDistribution, tau, atom_values=()):
+@dataclass(frozen=True, eq=False)
+class SojournFamily:
+    """Laws of one family over many ``[s, s']`` cells, as parameter arrays.
+
+    ``params`` holds one array over ``cells`` per parameter of ``kind``. At a
+    scalar ``tau``, :meth:`pdf` gives one density per cell; at an ``[n, 1]``
+    column of times, an ``[n, cells]`` block.
+    """
+
+    kind: type
+    cells: tuple  # (rows, cols)
+    params: tuple
+
+    @classmethod
+    def from_laws(cls, laws):
+        """Family table of ``(dist, (rows, cols))`` pairs that share one kind."""
+        rows = np.concatenate([r for _, (r, _) in laws])
+        cols = np.concatenate([c for _, (_, c) in laws])
+        params = tuple(np.concatenate([np.full(len(r), dist.params[i]) for dist, (r, _) in laws])
+                       for i in range(len(laws[0][0].params)))
+        return cls(type(laws[0][0]), (rows, cols), params)
+
+    @property
+    def atom(self):
+        """The atom locations per cell, or None for a continuous family."""
+        return self.params[0] if self.kind is DeterministicAtom else None
+
+    def pdf(self, tau):
+        return self.kind.density(np.asarray(tau, dtype=float), *self.params)
+
+
+def atom_mask(tau, atom_values):
+    """Whether ``tau`` is an atom location of the model: a bool for a number
+    ``tau``, else a bool array shaped like the array ``tau``."""
+    if not isinstance(tau, np.ndarray):
+        return float(tau) in atom_values
+    return np.isin(tau, np.fromiter(atom_values, dtype=float))
+
+
+def mixed_density(dist, tau, atom_values=(), at_atom=None):
     """Density of ``dist`` at ``tau`` w.r.t. Lebesgue + counting measure.
 
-    ``atom_values`` is the set of atom locations present in the surrounding
-    model: continuous densities evaluate to zero exactly at those points, so
-    that mixtures of fixed and random sojourn times stay well-defined.
+    ``dist`` is one law or a :class:`SojournFamily`. ``atom_values`` is the
+    set of atom locations present in the surrounding model: continuous
+    densities evaluate to zero exactly at those points, so that mixtures of
+    fixed and random sojourn times stay well-defined. Callers that evaluate
+    many laws at the same times pass ``at_atom = atom_mask(tau, atom_values)``
+    instead, so that the test runs once.
     """
     if dist.atom is not None:
         return dist.pdf(tau)
-    tau_arr = np.asarray(tau, dtype=float)
-    out = np.asarray(dist.pdf(tau_arr), dtype=float)
-    if atom_values:
-        at_atom = np.isin(tau_arr, np.fromiter(atom_values, dtype=float))
+    out = np.asarray(dist.pdf(tau), dtype=float)
+    if at_atom is None:
+        at_atom = atom_mask(tau, atom_values)
+    if at_atom is not False:  # a number off the atoms needs no masking
         out = np.where(at_atom, 0.0, out)
     return out if out.ndim else float(out)
+
+
+def draw_index(cumulative, rng: np.random.Generator) -> int:
+    """Index drawn from the cumulative probabilities ``cumulative``."""
+    return min(int(np.searchsorted(cumulative, rng.random())), len(cumulative) - 1)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from .distributions import (
     DeterministicAtom,
     InverseGaussian,
     SojournDistribution,
+    SojournFamily,
     TruncatedGaussian,
+    atom_mask,
     mixed_density,
 )
 
@@ -67,11 +69,16 @@ class MixedObservable:
 
 @dataclass(frozen=True)
 class PosmdpModel:
-    """Model arrays plus the sojourn-law table built from ``sojourn``.
+    """Model arrays plus the sojourn tables built from ``sojourn``.
 
     ``sojourn_laws[a]`` lists each distinct law under action ``a`` once
     (dataclass equality, in order of first appearance) as a pair
     ``(dist, (rows, cols))`` of the law and the ``[s, s']`` cells it governs.
+    ``sojourn_families[a]`` holds the same laws as one
+    :class:`~posmdp.distributions.SojournFamily` per distribution family, which
+    is what the density methods evaluate. ``transition_cdf`` and
+    ``observation_cdf`` are the cumulative rows of ``transition`` (over s') and
+    ``observation_kernel`` (over o) that sampling draws from.
     """
 
     states: tuple
@@ -110,8 +117,18 @@ class PosmdpModel:
             tuple((dist, tuple(np.array(cells).T)) for dist, cells in by_law.items())
             for by_law in laws
         ))
+        families = [{} for _ in self.actions]
+        for a, by_law in enumerate(self.sojourn_laws):
+            for law in by_law:
+                families[a].setdefault(type(law[0]), []).append(law)
+        object.__setattr__(self, "sojourn_families", tuple(
+            tuple(SojournFamily.from_laws(members) for members in by_kind.values())
+            for by_kind in families
+        ))
         object.__setattr__(self, "atom_values", frozenset(
             d.atom for d in self.sojourn.values() if d.atom is not None))
+        object.__setattr__(self, "transition_cdf", np.cumsum(self.transition, axis=2))
+        object.__setattr__(self, "observation_cdf", np.cumsum(self.observation_kernel, axis=2))
 
     @property
     def n_states(self):
@@ -125,29 +142,25 @@ class PosmdpModel:
     def n_observations(self):
         return len(self.observations)
 
-    def admissible_actions(self, belief: np.ndarray) -> np.ndarray:
-        """Indices of actions admissible in every state of the belief support."""
-        support = np.asarray(belief) > 0
-        mask = self.admissible[support].all(axis=0)
-        return np.flatnonzero(mask)
-
     def sojourn_density_matrix(self, a: int, tau: float) -> np.ndarray:
         """Mixed-measure f(tau | s, a, s') as an [s, s'] array.
 
         Zero where the model gives no sojourn law; one density evaluation per
-        distinct law.
+        distribution family.
         """
-        out = np.zeros((self.n_states, self.n_states))
-        for dist, cells in self.sojourn_laws[a]:
-            out[cells] = mixed_density(dist, tau, self.atom_values)
-        return out
+        return self._fill_densities(np.zeros((self.n_states, self.n_states)), a, tau)
 
     def sojourn_density_samples(self, a: int, taus: np.ndarray) -> np.ndarray:
         """f(tau_n | s, a, s') for a vector of times, shaped [n, s, s']."""
-        taus = np.asarray(taus, dtype=float).reshape(-1)
-        out = np.zeros((taus.size, self.n_states, self.n_states))
-        for dist, (rows, cols) in self.sojourn_laws[a]:
-            out[:, rows, cols] = mixed_density(dist, taus, self.atom_values)[:, None]
+        taus = np.asarray(taus, dtype=float).reshape(-1, 1)
+        return self._fill_densities(np.zeros((taus.shape[0], self.n_states, self.n_states)),
+                                    a, taus)
+
+    def _fill_densities(self, out, a, tau):
+        # The atom rule is tested once; each family is one numpy expression.
+        at_atom = atom_mask(tau, self.atom_values)
+        for family in self.sojourn_families[a]:
+            out[(..., *family.cells)] = mixed_density(family, tau, at_atom=at_atom)
         return out
 
 
@@ -656,7 +669,3 @@ def save_model(model: PosmdpModel, path) -> None:
 def model_hash(model: PosmdpModel) -> str:
     payload = json.dumps(model_to_dict(model), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
-
-
-def with_initial_belief(model: PosmdpModel, belief) -> PosmdpModel:
-    return replace(model, initial_belief=np.asarray(belief, dtype=float))

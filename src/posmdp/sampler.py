@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .belief import condition, predict_with_time
-from .distributions import mixed_density
+from .distributions import atom_mask, draw_index, mixed_density
 # Kept as names of this module: bench/tracer.py wraps the filter here.
 from .belief import observation_time_likelihood, update_with_time  # noqa: F401
 
@@ -45,11 +45,6 @@ class SampleBank:
         return replace(self, beliefs=self.beliefs + extra)
 
 
-def _sample_index(rng: np.random.Generator, probabilities: np.ndarray) -> int:
-    idx = int(np.searchsorted(np.cumsum(probabilities), rng.random()))
-    return min(idx, len(probabilities) - 1)
-
-
 def collect(model, n: int, seed: int) -> SampleBank:
     """Grow a belief set of size ``n`` by random exploration from xi_0.
 
@@ -66,20 +61,21 @@ def collect(model, n: int, seed: int) -> SampleBank:
     times = []
     origins = []
     counts = np.zeros((model.n_states, model.n_actions, model.n_states))
+    admissible = [np.flatnonzero(row) for row in model.admissible]
 
     while len(beliefs) < n:
         xi = beliefs[rng.integers(len(beliefs))]
-        s = _sample_index(rng, xi)
-        admissible = np.flatnonzero(model.admissible[s])
-        a = int(admissible[rng.integers(admissible.size)])
-        s2 = _sample_index(rng, model.transition[s, a])
+        s = draw_index(np.cumsum(xi), rng)
+        choices = admissible[s]
+        a = int(choices[rng.integers(choices.size)])
+        s2 = draw_index(model.transition_cdf[s, a], rng)
         tau = float(model.sojourn[(s, a, s2)].sample(rng))
         times.append(tau)
         origins.append((s, a, s2))
         counts[s, a, s2] += 1
         predicted = predict_with_time(model, xi, a, tau)
         masses = model.observation_kernel[a].T @ predicted
-        o = _sample_index(rng, masses / float(masses.sum()))
+        o = draw_index(np.cumsum(masses / float(masses.sum())), rng)
         beliefs.append(condition(model, predicted, a, o, tau))
 
     total = counts.sum()
@@ -101,10 +97,11 @@ def mixture_density(bank: SampleBank, model, tau):
     ones; scalar or array ``tau``.
     """
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
+    at_atom = atom_mask(tau_arr, model.atom_values)
     out = np.zeros_like(tau_arr)
     for key, w in np.ndenumerate(bank.weights):
         if w != 0.0:
-            out += w * mixed_density(model.sojourn[key], tau_arr, model.atom_values)
+            out += w * mixed_density(model.sojourn[key], tau_arr, at_atom=at_atom)
     return out if np.ndim(tau) else float(out[0])
 
 

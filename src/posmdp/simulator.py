@@ -5,6 +5,14 @@ and the time-aware belief update, accumulating rewards discounted by the
 elapsed continuous time. "Episodes" are independent restarts from the
 initial belief; any episodic structure (such as a reset transition) lives
 in the model itself, not here.
+
+Episodes run in lockstep (:func:`run_episodes`): their beliefs form one
+``[E, s]`` block, the greedy actions of all episodes come from one product
+with the alpha-vector matrix, and each epoch makes one time-aware update per
+action over the episodes that took it. Each episode still draws its initial
+state, then ``(s', tau, o)`` per epoch, from its own generator in that order,
+so its random stream does not depend on how many episodes run beside it.
+:func:`rollout` is the one-episode case, with its history recorded.
 """
 
 from __future__ import annotations
@@ -16,10 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import update_with_time
+from .distributions import draw_index
 
 __all__ = [
     "HistoryRecord",
     "step",
+    "run_episodes",
     "rollout",
     "evaluate",
     "write_trajectory",
@@ -57,13 +67,9 @@ def step(model, s: int, a: int, rng: np.random.Generator):
     """
     if not model.admissible[s, a]:
         raise ValueError(f"action {a} is not admissible in state {s}")
-    probs = model.transition[s, a]
-    s2 = int(np.searchsorted(np.cumsum(probs), rng.random()))
-    s2 = min(s2, model.n_states - 1)
+    s2 = draw_index(model.transition_cdf[s, a], rng)
     tau = float(model.sojourn[(s, a, s2)].sample(rng))
-    obs_probs = model.observation_kernel[a, s2]
-    o = int(np.searchsorted(np.cumsum(obs_probs), rng.random()))
-    o = min(o, model.n_observations - 1)
+    o = draw_index(model.observation_cdf[a, s2], rng)
     rate = model.rate_reward[s, a, s2]
     if model.beta > 0:
         accrued = rate * (1.0 - math.exp(-model.beta * tau)) / model.beta
@@ -73,27 +79,53 @@ def step(model, s: int, a: int, rng: np.random.Generator):
     return s2, tau, o, reward
 
 
-def rollout(model, value_function, xi0, epochs: int, rng: np.random.Generator) -> HistoryRecord:
-    """Run ``epochs`` decision stages greedily under ``value_function``.
+def run_episodes(model, value_function, xi0, epochs: int, rngs, histories=None) -> np.ndarray:
+    """Run one episode per generator in ``rngs``, all in lockstep.
 
-    The hidden state is sampled from ``xi0`` once; afterwards the belief is
-    filtered from the same (a, tau, o) stream the agent observes. Returns
-    the history; its cumulative discounted reward is the return estimate.
+    Every episode starts from ``xi0``, with its hidden state drawn from it,
+    and acts greedily under ``value_function`` (ties to the lowest vector
+    index) for ``epochs`` stages; its belief is filtered from the (a, tau, o)
+    stream it observes. Returns the [E] discounted returns. With
+    ``histories``, one :class:`HistoryRecord` per episode, each stage is also
+    recorded there.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    xi = np.asarray(xi0, dtype=float)
-    s = int(np.searchsorted(np.cumsum(xi), rng.random()))
-    s = min(s, model.n_states - 1)
-    history = HistoryRecord()
-    discount = 1.0
+    xi0 = np.asarray(xi0, dtype=float)
+    start_cdf = np.cumsum(xi0)
+    n = len(rngs)
+    states = [draw_index(start_cdf, rng) for rng in rngs]
+    xi = np.tile(xi0, (n, 1))
+    returns = np.zeros(n)
+    discount = np.ones(n)
+    taus, rewards, decay = np.empty(n), np.empty(n), np.empty(n)
+    observations = np.empty(n, dtype=int)
     for _ in range(epochs):
-        a = value_function.action_at(xi)
-        s2, tau, o, reward = step(model, s, a, rng)
-        xi = update_with_time(model, xi, a, tau, o)
-        history.append(a, tau, o, xi, discount * reward)
-        discount *= math.exp(-model.beta * tau)
-        s = s2
+        actions = value_function.actions[np.argmax(xi @ value_function.matrix.T, axis=1)]
+        for e, rng in enumerate(rngs):
+            states[e], taus[e], observations[e], rewards[e] = step(
+                model, states[e], int(actions[e]), rng)
+            decay[e] = math.exp(-model.beta * taus[e])
+        for a in np.unique(actions):
+            rows = np.flatnonzero(actions == a)
+            xi[rows] = update_with_time(model, xi[rows], int(a), taus[rows], observations[rows])
+        gained = discount * rewards
+        returns += gained
+        discount *= decay
+        for e, history in enumerate(histories or ()):
+            history.append(int(actions[e]), float(taus[e]), int(observations[e]),
+                           xi[e].copy(), float(gained[e]))
+    return returns
+
+
+def rollout(model, value_function, xi0, epochs: int, rng: np.random.Generator) -> HistoryRecord:
+    """Run ``epochs`` decision stages greedily under ``value_function``.
+
+    The one-episode case of :func:`run_episodes`. Returns the history; its
+    cumulative discounted reward is the return estimate.
+    """
+    history = HistoryRecord()
+    run_episodes(model, value_function, xi0, epochs, [rng], [history])
     return history
 
 
@@ -106,12 +138,9 @@ def evaluate(model, value_function, episodes: int, epochs: int, seed: int):
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    streams = np.random.SeedSequence(seed).spawn(episodes)
-    returns = np.array([
-        rollout(model, value_function, model.initial_belief, epochs,
-                np.random.default_rng(stream)).cumulative_discounted_reward
-        for stream in streams
-    ])
+    rngs = [np.random.default_rng(stream)
+            for stream in np.random.SeedSequence(seed).spawn(episodes)]
+    returns = run_episodes(model, value_function, model.initial_belief, epochs, rngs)
     mean = float(returns.mean())
     if episodes == 1:
         return mean, None

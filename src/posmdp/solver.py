@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .model import compute_stage_reward, model_hash
+from .model import ModelFormatError, compute_stage_reward, model_hash
 from .sampler import SampleBank, mixture_density
 
 __all__ = [
@@ -414,6 +414,10 @@ class PolicyMismatchError(ValueError):
     """The policy file was solved against a different model."""
 
 
+_POLICY_KEYS = {"model_hash", "converged", "vectors", "trace"}
+_TRACE_KEYS = {f.name for f in fields(IterationRecord)}
+
+
 def save_policy(result: SolveResult, model, path) -> None:
     doc = {
         "model_hash": model_hash(model),
@@ -430,19 +434,56 @@ def save_policy(result: SolveResult, model, path) -> None:
 
 
 def load_policy(path, model) -> SolveResult:
+    """Read a policy file written by :func:`save_policy` for ``model``.
+
+    Raises :class:`PolicyMismatchError` when it was solved against another
+    model, and :class:`~posmdp.model.ModelFormatError`, naming the field, when
+    the file is malformed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelFormatError(f"policy file is not valid JSON: {exc}") from exc
+    _check_keys(doc, _POLICY_KEYS, "policy file")
     if doc["model_hash"] != model_hash(model):
         raise PolicyMismatchError(
             "policy file model hash does not match the supplied model"
         )
-    vectors = [
-        AlphaVector(np.asarray(rec["values"], dtype=float), model.actions.index(rec["action"]))
-        for rec in doc["vectors"]
-    ]
-    result = SolveResult(
+    if not isinstance(doc["vectors"], list) or not doc["vectors"]:
+        raise ModelFormatError("policy field 'vectors' must be a nonempty list")
+    vectors = [_alpha_from_dict(rec, f"vectors[{i}]", model)
+               for i, rec in enumerate(doc["vectors"])]
+    if not isinstance(doc["trace"], list):
+        raise ModelFormatError("policy field 'trace' must be a list")
+    for i, rec in enumerate(doc["trace"]):
+        _check_keys(rec, _TRACE_KEYS, f"policy field 'trace[{i}]'")
+    if not isinstance(doc["converged"], bool):
+        raise ModelFormatError("policy field 'converged' must be true or false")
+    return SolveResult(
         value_function=ValueFunction(vectors),
         trace=[IterationRecord(**rec) for rec in doc["trace"]],
         converged=doc["converged"],
     )
-    return result
+
+
+def _check_keys(obj, keys: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where} must be a JSON object")
+    missing, unknown = sorted(keys - set(obj)), sorted(set(obj) - keys)
+    if missing or unknown:
+        raise ModelFormatError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+
+
+def _alpha_from_dict(rec, name: str, model) -> AlphaVector:
+    _check_keys(rec, {"action", "values"}, f"policy field '{name}'")
+    if rec["action"] not in model.actions:
+        raise ModelFormatError(f"policy field '{name}.action': unknown action {rec['action']!r}")
+    try:
+        values = np.asarray(rec["values"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"policy field '{name}.values' is not a list of numbers") from exc
+    if values.shape != (model.n_states,) or not np.all(np.isfinite(values)):
+        raise ModelFormatError(f"policy field '{name}.values' must hold {model.n_states} "
+                               f"finite numbers, got shape {values.shape}")
+    return AlphaVector(values, model.actions.index(rec["action"]))

@@ -5,7 +5,11 @@ paths with the package internals beyond raw model data access, so agreement
 with the package is evidence of correctness rather than tautology.
 """
 
+import math
+
 import numpy as np
+
+from posmdp.belief import update_with_time
 
 
 def brute_force_backup(model, vf, bank, belief):
@@ -85,6 +89,18 @@ def _density(model, s, a, s2, tau):
     return float(dist.pdf(tau))
 
 
+def _density_at_times(model, s, a, s2, taus):
+    """Vector form of :func:`_density`: one law's pdf over an array of times."""
+    taus = np.asarray(taus, dtype=float)
+    if model.transition[s, a, s2] == 0.0:
+        return np.zeros_like(taus)
+    dist = model.sojourn[(s, a, s2)]
+    if dist.atom is not None:
+        return (taus == dist.atom).astype(float)
+    at_atom = np.array([t in model.atom_values for t in taus.tolist()], dtype=bool)
+    return np.where(at_atom, 0.0, dist.pdf(taus))
+
+
 def stage_reward_table(model):
     """R(s, a) by direct quadrature-free evaluation of the closed form."""
     table = [[0.0] * model.n_actions for _ in range(model.n_states)]
@@ -127,3 +143,39 @@ def mixture_density(bank, model, tau):
         for value, mass in atom_mass.items():
             out[tau_arr == value] += mass
     return out if np.ndim(tau) else float(out[0])
+
+
+def sequential_episodes(model, value_function, episodes, epochs, seed):
+    """Episodes run one after another, each with its own 1-D belief.
+
+    Each generator draws the initial state, then per epoch s', tau and o by
+    ``searchsorted`` over freshly summed rows; the greedy action is
+    ``value_function.action_at``. The 1-D filter and ``action_at`` come from
+    the package; test_belief and test_solver check them on their own. Returns,
+    per episode, the list of (a, tau, o) and the discounted return.
+    """
+    out = []
+    for stream in np.random.SeedSequence(seed).spawn(episodes):
+        rng = np.random.default_rng(stream)
+        xi = np.asarray(model.initial_belief, dtype=float)
+        s = min(int(np.searchsorted(np.cumsum(xi), rng.random())), model.n_states - 1)
+        entries, total, discount = [], 0.0, 1.0
+        for _ in range(epochs):
+            a = value_function.action_at(xi)
+            s2 = int(np.searchsorted(np.cumsum(model.transition[s, a]), rng.random()))
+            s2 = min(s2, model.n_states - 1)
+            tau = float(model.sojourn[(s, a, s2)].sample(rng))
+            o = int(np.searchsorted(np.cumsum(model.observation_kernel[a, s2]), rng.random()))
+            o = min(o, model.n_observations - 1)
+            rate = model.rate_reward[s, a, s2]
+            if model.beta > 0:
+                accrued = rate * (1.0 - math.exp(-model.beta * tau)) / model.beta
+            else:
+                accrued = rate * tau
+            total += discount * float(model.lump_reward[s, a] + accrued)
+            xi = update_with_time(model, xi, a, tau, o)
+            entries.append((a, tau, o))
+            discount *= math.exp(-model.beta * tau)
+            s = s2
+        out.append((entries, total))
+    return out

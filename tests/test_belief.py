@@ -69,11 +69,35 @@ class TestBusBikeAtom:
         with pytest.raises(ImpossibleEvidenceError):
             update_with_time(bus_model, bus_model.initial_belief, BUS, 6.0, 0)
 
+    def test_block_update_names_the_impossible_row(self, bus_model):
+        block = np.tile(bus_model.initial_belief, (3, 1))
+        taus = np.array([30.0, 29.0, 30.0])
+        observations = np.array([4, 4, 4])
+        with pytest.raises(ImpossibleEvidenceError) as info:
+            update_with_time(bus_model, block, BIKE, taus, observations)
+        assert (info.value.action, info.value.tau, info.value.observation) == (BIKE, 29.0, 4)
+
     def test_bus_at_atom_time_is_impossible(self, bus_model):
         # tau = 455 is an atom of the model's mixed measure (the reset delay),
         # where every continuous travel density carries zero mass.
         with pytest.raises(ImpossibleEvidenceError):
             update_with_time(bus_model, bus_model.initial_belief, BUS, 455.0, 1)
+
+
+class TestBlockUpdate:
+    def test_rows_match_one_row_updates(self, bus_model):
+        # From stop 0, bus rides of 4-9 minutes to stop 1 and one bike ride.
+        block = np.tile(bus_model.initial_belief, (4, 1))
+        taus = np.array([4.0, 6.0, 9.0, 7.5])
+        observations = np.array([1, 1, 1, 1])
+        post = update_with_time(bus_model, block, BUS, taus, observations)
+        for row, tau in zip(post, taus):
+            np.testing.assert_allclose(
+                row, update_with_time(bus_model, bus_model.initial_belief, BUS, tau, 1),
+                rtol=1e-12, atol=1e-300)
+        bike = update_with_time(bus_model, block[:1], BIKE, np.array([30.0]), np.array([4]))
+        np.testing.assert_array_equal(
+            bike[0], update_with_time(bus_model, bus_model.initial_belief, BIKE, 30.0, 4))
 
 
 class TestMaintenanceUpdate:

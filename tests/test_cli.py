@@ -117,6 +117,20 @@ class TestSolveSimulate:
         assert code == EXIT_ERROR
         assert "hash" in capsys.readouterr().err
 
+    def test_malformed_policy_file(self, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        assert main(["solve", "bus", "--beliefs", "100",
+                     "--output", str(policy)]) == EXIT_OK
+        doc = json.loads(policy.read_text())
+        doc["vectors"] = "abc"
+        policy.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["simulate", "bus", str(policy), "--episodes", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error:") and "vectors" in err
+        assert "Traceback" not in err
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         policy = tmp_path / "policy.json"
         code = main(["solve", "bus", "--beliefs", "200", "--max-iters", "1",

@@ -1,11 +1,12 @@
 """Model construction, validation, stage rewards, and file round-trips."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from oracles import _density
+from oracles import _density, _density_at_times
 from scipy import integrate
 
 import posmdp
@@ -20,8 +21,9 @@ from posmdp.model import (
     model_to_dict,
     observation_bin_points,
     save_model,
-    with_initial_belief,
 )
+from posmdp.sampler import collect
+from posmdp.solver import BackupCache, backup_beliefs, constant_value_function
 
 
 class TestBuilders:
@@ -218,7 +220,7 @@ class TestValidation:
     def test_bad_initial_belief(self, bus_model):
         belief = np.zeros(15)
         belief[0] = 0.5
-        broken = with_initial_belief(bus_model, belief)
+        broken = dataclasses.replace(bus_model, initial_belief=belief)
         report = posmdp.validate(broken)
         assert any("initial belief" in v for v in report.violations)
 
@@ -270,19 +272,54 @@ class TestSojournLaws:
             for tau, want in zip(taus, expected):
                 np.testing.assert_array_equal(model.sojourn_density_matrix(a, float(tau)), want)
 
-    def test_one_density_evaluation_per_law(self, bus_model, monkeypatch):
+    def test_one_density_evaluation_per_family(self, bus_model, monkeypatch):
         calls = []
         original = posmdp.model.mixed_density
 
-        def counted(dist, tau, atom_values=()):
+        def counted(dist, tau, atom_values=(), at_atom=None):
             calls.append(dist)
-            return original(dist, tau, atom_values)
+            return original(dist, tau, atom_values, at_atom)
 
         monkeypatch.setattr(posmdp.model, "mixed_density", counted)
-        for a, laws in enumerate(bus_model.sojourn_laws):
-            calls.clear()
-            bus_model.sojourn_density_matrix(a, 12.0)
-            assert calls == [dist for dist, _ in laws]
+        assert [len(families) for families in bus_model.sojourn_families] == [2, 1]
+        for a, families in enumerate(bus_model.sojourn_families):
+            for evaluate in (lambda: bus_model.sojourn_density_matrix(a, 12.0),
+                             lambda: bus_model.sojourn_density_samples(a, [5.0, 12.0, 30.0])):
+                calls.clear()
+                evaluate()
+                assert calls == list(families)
+
+
+class TestSojournFamilies:
+    def test_families_cover_every_triple_once(self, bus_model, maintenance_model):
+        for model in (bus_model, maintenance_model):
+            for a, families in enumerate(model.sojourn_families):
+                seen = []
+                for family in families:
+                    for s, s2, *params in zip(*family.cells, *family.params):
+                        law = model.sojourn[(int(s), a, int(s2))]
+                        assert type(law) is family.kind and law.params == tuple(params)
+                        seen.append((int(s), a, int(s2)))
+                assert sorted(seen) == sorted(k for k in model.sojourn if k[1] == a)
+
+    @pytest.mark.parametrize("name", ["bus", "maintenance", "random"])
+    def test_random_times_match_per_triple_oracle(self, name, bus_model, maintenance_model,
+                                                  random_model_factory):
+        # Vector times are bit-identical to each law's pdf over the same times.
+        # A scalar time runs numpy on 0-d arrays, whose exp and power may round
+        # differently in the last bits, so it is held to 1e-12 relative.
+        model = {"bus": bus_model, "maintenance": maintenance_model,
+                 "random": random_model_factory(np.random.default_rng(3), with_atoms=True)}[name]
+        taus = np.random.default_rng(11).uniform(0.05, 60.0, 200)
+        n = model.n_states
+        for a in range(model.n_actions):
+            per_law = np.array([[_density_at_times(model, s, a, s2, taus) for s2 in range(n)]
+                                for s in range(n)]).transpose(2, 0, 1)
+            np.testing.assert_array_equal(model.sojourn_density_samples(a, taus), per_law)
+            expected = np.array([[[_density(model, s, a, s2, t) for s2 in range(n)]
+                                  for s in range(n)] for t in taus])
+            scalar = np.array([model.sojourn_density_matrix(a, float(t)) for t in taus])
+            np.testing.assert_allclose(scalar, expected, rtol=1e-12, atol=0.0)
 
 
 def _append_sojourn(doc, s, a, s_next):
@@ -343,8 +380,8 @@ class TestSerialization:
         assert model_hash(loaded) == model_hash(maintenance_model)
 
     def test_hash_changes_with_model(self, bus_model):
-        shifted = with_initial_belief(
-            bus_model, np.roll(bus_model.initial_belief, 3)
+        shifted = dataclasses.replace(
+            bus_model, initial_belief=np.roll(bus_model.initial_belief, 3)
         )
         assert model_hash(shifted) != model_hash(bus_model)
 
@@ -407,33 +444,21 @@ class TestSerialization:
 class TestAdmissibility:
     def test_default_all_admissible(self, bus_model):
         assert bus_model.admissible.all()
-        np.testing.assert_array_equal(
-            bus_model.admissible_actions(bus_model.initial_belief), [0, 1]
-        )
 
     def test_restricted_actions(self, bus_model):
         admissible = np.ones((15, 2), dtype=bool)
         admissible[0, 1] = False  # no bike at (stop0, low)
-        restricted = posmdp.PosmdpModel(
-            states=bus_model.states,
-            actions=bus_model.actions,
-            observations=bus_model.observations,
-            transition=bus_model.transition,
-            sojourn=bus_model.sojourn,
-            observation_kernel=bus_model.observation_kernel,
-            lump_reward=bus_model.lump_reward,
-            rate_reward=bus_model.rate_reward,
-            beta=bus_model.beta,
-            initial_belief=bus_model.initial_belief,
-            admissible=admissible,
-        )
-        np.testing.assert_array_equal(
-            restricted.admissible_actions(restricted.initial_belief), [0]
-        )
+        # A lump bonus for biking makes bike the backup's choice wherever allowed.
+        lump = bus_model.lump_reward + np.array([0.0, 1.0])
+        restricted = dataclasses.replace(bus_model, lump_reward=lump, admissible=admissible)
+        cache = BackupCache(restricted, collect(restricted, 30, seed=0))
+        vf = constant_value_function(restricted, 0.0)
         # A belief avoiding state 0 allows both actions again.
         belief = np.zeros(15)
         belief[1] = 1.0
-        np.testing.assert_array_equal(restricted.admissible_actions(belief), [0, 1])
+        _, actions = backup_beliefs(restricted, vf,
+                                    np.stack([restricted.initial_belief, belief]), cache)
+        np.testing.assert_array_equal(actions, [0, 1])
 
     def test_admissible_round_trip(self, bus_model, tmp_path):
         admissible = np.ones((15, 2), dtype=bool)

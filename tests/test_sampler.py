@@ -8,7 +8,6 @@ import posmdp
 from posmdp.belief import observation_time_likelihood, update_with_time
 from posmdp.sampler import (
     SampleBank,
-    _sample_index,
     bank_from_dict,
     bank_to_dict,
     collect,
@@ -17,6 +16,11 @@ from posmdp.sampler import (
     mixture_density,
     save_bank,
 )
+
+
+def _sample_index(rng, probabilities):
+    idx = int(np.searchsorted(np.cumsum(probabilities), rng.random()))
+    return min(idx, len(probabilities) - 1)
 
 
 def reference_collect(model, n, seed):

@@ -7,10 +7,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import sequential_episodes
 
 import posmdp
-from posmdp.simulator import HistoryRecord, evaluate, rollout, step, write_trajectory
-from posmdp.solver import constant_value_function
+from posmdp.simulator import (
+    HistoryRecord,
+    evaluate,
+    rollout,
+    run_episodes,
+    step,
+    write_trajectory,
+)
+from posmdp.solver import AlphaVector, ValueFunction, constant_value_function
 
 BUS, BIKE = 0, 1
 STOP3_LOW = 3 * 3 + 0
@@ -149,6 +157,47 @@ class TestEvaluate:
         assert solved > always_bus - 3 * (se_s + se_b)
         assert solved > always_bike - 3 * (se_s + se_k)
         assert solved > min(always_bus, always_bike)
+
+
+def _mixed_policy(model):
+    """Hand-made policies whose greedy action changes with the belief."""
+    if model.n_actions == 2:  # bus: ride unless heavy traffic looks likely
+        light = np.array([0.0 if s % 3 == 2 else 1.0 for s in range(model.n_states)])
+        return ValueFunction([AlphaVector(light, BUS),
+                              AlphaVector(np.full(model.n_states, 0.6), BIKE)])
+    return ValueFunction([AlphaVector([1.0, 0.5, 0.0, 0.0], 1),
+                          AlphaVector([0.0, 0.6, 1.0, 0.5], 2),
+                          AlphaVector([0.0, 0.0, 0.3, 1.0], 3)])
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", ["bus", "maintenance"])
+    def test_matches_sequential_episodes(self, name, bus_model, maintenance_model):
+        model = {"bus": bus_model, "maintenance": maintenance_model}[name]
+        vf = _mixed_policy(model)
+        episodes, epochs, seed = 30, 20, 4
+        reference = sequential_episodes(model, vf, episodes, epochs, seed)
+        rngs = [np.random.default_rng(stream)
+                for stream in np.random.SeedSequence(seed).spawn(episodes)]
+        histories = [HistoryRecord() for _ in rngs]
+        returns = run_episodes(model, vf, model.initial_belief, epochs, rngs, histories)
+        for (entries, total), history, value in zip(reference, histories, returns):
+            assert history.entries == entries
+            assert value == pytest.approx(total, rel=1e-12)
+        taken = {a for history in histories for a, _, _ in history.entries}
+        assert len(taken) > 1  # the block update really splits by action
+        mean, _ = evaluate(model, vf, episodes, epochs, seed)
+        assert mean == pytest.approx(np.mean([total for _, total in reference]), rel=1e-12)
+
+    def test_episode_streams_ignore_the_batch_size(self, bus_model):
+        vf = _mixed_policy(bus_model)
+        streams = np.random.SeedSequence(9).spawn(12)
+        batch = run_episodes(bus_model, vf, bus_model.initial_belief, 15,
+                             [np.random.default_rng(s) for s in streams])
+        alone = [rollout(bus_model, vf, bus_model.initial_belief, 15,
+                         np.random.default_rng(s)).cumulative_discounted_reward
+                 for s in streams[:3]]
+        np.testing.assert_allclose(batch[:3], alone, rtol=1e-12)
 
 
 class TestMaintenancePolicyBehavior:

@@ -2,7 +2,9 @@
 randomized update pass, the outer loop, and policy files."""
 
 import dataclasses
+import json
 import math
+import re
 import time
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from oracles import _density, alpha_given_a_tau_o, brute_force_backup
 
 import posmdp
+from posmdp.model import ModelFormatError
 from posmdp.sampler import SampleBank, collect
 from posmdp.solver import (
     AlphaVector,
@@ -450,3 +453,23 @@ class TestPolicyFiles:
         save_policy(result, bus_model, path)
         with pytest.raises(PolicyMismatchError):
             load_policy(path, maintenance_model)
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda doc: doc.update(vectors="abc"), "'vectors'"),
+        (lambda doc: doc.pop("model_hash"), "model_hash"),
+        (lambda doc: doc["trace"][0].update(extra=1), "trace[0]"),
+        (lambda doc: doc["vectors"][0]["values"].pop(), "vectors[0].values"),
+        (lambda doc: doc["vectors"][0].update(action="walk"), "vectors[0].action"),
+    ], ids=["vectors_string", "missing_hash", "unknown_trace_key", "short_values",
+            "unknown_action"])
+    def test_malformed_file_names_the_field(self, mutate, field, tmp_path,
+                                            random_model_factory):
+        m = random_model_factory(np.random.default_rng(12))
+        result = solve(m, collect(m, 30, seed=8), v0=conservative_value_function(m), seed=8)
+        path = tmp_path / "policy.json"
+        save_policy(result, m, path)
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=re.escape(field)):
+            load_policy(path, m)
