@@ -61,8 +61,16 @@ def _truncated_gaussian_density(tau, mu, sigma, mass):
     return np.where(tau > 0, np.exp(-0.5 * z * z) / (_SQRT_2PI * sigma * mass), 0.0)
 
 
+class _SojournLaw:
+    """A law's ``pdf`` is its family's ``density`` formula at its ``params``."""
+
+    def pdf(self, tau):
+        out = self.density(np.asarray(tau, dtype=float), *self.params)
+        return out if out.ndim else float(out)
+
+
 @dataclass(frozen=True)
-class InverseGaussian:
+class InverseGaussian(_SojournLaw):
     """Inverse Gaussian (Wald) law with mean ``mu`` and shape ``lam``.
 
     The variance is ``mu**3 / lam``.
@@ -82,10 +90,6 @@ class InverseGaussian:
     @property
     def params(self):
         return (self.mu, self.lam)
-
-    def pdf(self, tau):
-        out = self.density(np.asarray(tau, dtype=float), *self.params)
-        return out if out.ndim else float(out)
 
     def cdf(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -130,7 +134,7 @@ class InverseGaussian:
 
 
 @dataclass(frozen=True)
-class DeterministicAtom:
+class DeterministicAtom(_SojournLaw):
     """Unit point mass at the fixed sojourn time ``c0``."""
 
     c0: float
@@ -144,10 +148,6 @@ class DeterministicAtom:
     @property
     def params(self):
         return (self.c0,)
-
-    def pdf(self, tau):
-        out = self.density(np.asarray(tau, dtype=float), *self.params)
-        return out if out.ndim else float(out)
 
     def cdf(self, tau):
         out = (np.asarray(tau, dtype=float) >= self.c0).astype(float)
@@ -172,7 +172,7 @@ class DeterministicAtom:
 
 
 @dataclass(frozen=True)
-class TruncatedGaussian:
+class TruncatedGaussian(_SojournLaw):
     """Gaussian with mean ``mu`` and std ``sigma`` truncated to (0, inf)."""
 
     mu: float
@@ -194,10 +194,6 @@ class TruncatedGaussian:
     @property
     def params(self):
         return (self.mu, self.sigma, self._mass)
-
-    def pdf(self, tau):
-        out = self.density(np.asarray(tau, dtype=float), *self.params)
-        return out if out.ndim else float(out)
 
     def cdf(self, tau):
         tau = np.asarray(tau, dtype=float)
