@@ -6,6 +6,9 @@ respect to a mixed (Lebesgue + counting) base measure so that atoms evaluate
 to their mass; see :func:`mixed_density` for the rule used when atoms and
 continuous laws coexist in one model.
 
+Every law's expected discount ``E[exp(-beta tau)]`` (its Laplace transform,
+which the stage reward and the initial bound are built from) is in closed form.
+
 Each family's density formula is one module-level function of the time and
 the law's parameters. A law's ``pdf`` calls it with scalar parameters; a
 :class:`SojournFamily` calls it with parameter arrays over many ``[s, s']``
@@ -19,10 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import log_ndtr, ndtr
 
 __all__ = [
@@ -63,6 +64,8 @@ def _truncated_gaussian_density(tau, mu, sigma, mass):
 
 class _SojournLaw:
     """A law's ``pdf`` is its family's ``density`` formula at its ``params``."""
+
+    atom = None  # a continuous law; DeterministicAtom overrides it
 
     def pdf(self, tau):
         out = self.density(np.asarray(tau, dtype=float), *self.params)
@@ -127,10 +130,6 @@ class InverseGaussian(_SojournLaw):
 
     def mean(self) -> float:
         return self.mu
-
-    @property
-    def atom(self):
-        return None
 
 
 @dataclass(frozen=True)
@@ -219,32 +218,24 @@ class TruncatedGaussian(_SojournLaw):
         return out.reshape(size)
 
     def expected_discount(self, beta: float) -> float:
+        """Laplace transform E[exp(-beta * tau)], in closed form.
+
+        Completing the square under the truncated density gives
+        ``exp(-beta mu + (beta sigma)**2 / 2) Phi((mu - beta sigma**2) / sigma)
+        / Phi(mu / sigma)`` (Johnson, Kotz & Balakrishnan, *Continuous
+        Univariate Distributions* 1, 1994, sec. 10.1). It is evaluated in log
+        space: for large ``beta * sigma`` the exponential overflows while the
+        numerator's Phi underflows, though their product is below 1.
+        """
         if beta < 0:
             raise ValueError("discount rate must be nonnegative")
-        return _truncated_gaussian_discount(self.mu, self.sigma, beta)
+        return math.exp(-beta * self.mu + 0.5 * (beta * self.sigma) ** 2
+                        + log_ndtr((self.mu - beta * self.sigma**2) / self.sigma)
+                        - log_ndtr(self.mu / self.sigma))
 
     def mean(self) -> float:
         a = -self.mu / self.sigma
         return self.mu + self.sigma * math.exp(-0.5 * a * a) / (_SQRT_2PI * self._mass)
-
-    @property
-    def atom(self):
-        return None
-
-
-@lru_cache(maxsize=None)
-def _truncated_gaussian_discount(mu: float, sigma: float, beta: float) -> float:
-    # No closed form; adaptive quadrature, cached per parameter triple.
-    dist = TruncatedGaussian(mu, sigma)
-    value, _ = integrate.quad(
-        lambda t: math.exp(-beta * t) * dist.pdf(t),
-        0.0,
-        np.inf,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        points=None,
-    )
-    return value
 
 
 SojournDistribution = InverseGaussian | DeterministicAtom | TruncatedGaussian

@@ -182,7 +182,6 @@ def compute_stage_reward(model: PosmdpModel) -> StageRewardTable:
     ``r2 * (1 - E[exp(-beta tau)]) / beta`` per transition (and ``r2 * E[tau]``
     in the undiscounted limit).
     """
-    n_s, n_a = model.n_states, model.n_actions
     values = np.array(model.lump_reward, dtype=float)
     for (s, a, s2), dist in model.sojourn.items():
         p = model.transition[s, a, s2]

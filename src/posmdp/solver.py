@@ -142,7 +142,7 @@ def conservative_value_function(model) -> ValueFunction:
     m_min = compute_stage_reward(model).minimum()
     if m_min == 0.0:
         return constant_value_function(model, 0.0)
-    discounts = [d.expected_discount(model.beta) for d in model.sojourn.values()]
+    discounts = [d.expected_discount(model.beta) for laws in model.sojourn_laws for d, _ in laws]
     lam = min(discounts) if m_min > 0 else max(discounts)
     if lam >= 1.0:
         raise InitialValueError(
@@ -155,9 +155,10 @@ def conservative_value_function(model) -> ValueFunction:
 class BackupCache:
     """Per-(model, bank) precomputation shared by every backup.
 
-    Stores, per action, sample *groups*: [s, s'] slices ``M_a[g]`` of
-    ``P(s'|s,a) f(tau|s,a,s')``, laid out as one [s, g, s'] array, with
-    importance weights ``kappa_a[g]``, the factors
+    Stores the bank's [b, s] belief matrix ``beliefs``, the stage rewards
+    ``stage_reward`` and, per action, sample *groups*: [s, s'] slices
+    ``M_a[g]`` of ``P(s'|s,a) f(tau|s,a,s')``, laid out as one [s, g, s']
+    array, with importance weights ``kappa_a[g]``, the factors
     ``exp(-beta tau_n) / D(tau_n) / |C|`` summed over the group.
 
     Samples with equal tau share one group: the density depends on a sample
@@ -175,8 +176,7 @@ class BackupCache:
     """
 
     def __init__(self, model, bank: SampleBank):
-        self.model = model
-        self.bank = bank
+        self.beliefs = bank.belief_matrix()  # [b, s]
         self.stage_reward = compute_stage_reward(model).values  # [s, a]
         density = mixture_density(bank, model, bank.times)
         kappa_all = np.exp(-model.beta * bank.times) / density / max(bank.n_samples, 1)
@@ -270,10 +270,8 @@ def backup_beliefs(model, vf: ValueFunction, beliefs: np.ndarray, cache: BackupC
     return best_values, best_actions
 
 
-def backup(model, vf: ValueFunction, bank: SampleBank, belief, cache: BackupCache = None):
+def backup(model, vf: ValueFunction, cache: BackupCache, belief):
     """One Bellman backup at ``belief`` using the sampled-time estimator."""
-    if cache is None:
-        cache = BackupCache(model, bank)
     values, actions = backup_beliefs(model, vf, np.asarray(belief, dtype=float)[None], cache)
     return AlphaVector(values[0], int(actions[0]))
 
@@ -282,17 +280,15 @@ def _is_duplicate(values: np.ndarray, collected: list) -> bool:
     return any(np.max(np.abs(values - other.values)) <= DUPLICATE_TOL for other in collected)
 
 
-def perseus_update(model, vf: ValueFunction, bank: SampleBank,
-                   rng: np.random.Generator, cache: BackupCache = None) -> ValueFunction:
+def perseus_update(model, vf: ValueFunction, cache: BackupCache,
+                   rng: np.random.Generator) -> ValueFunction:
     """One randomized improvement pass over the collected beliefs.
 
     Repeatedly backs up a random not-yet-improved belief; if the backup does
     not improve that belief, the best old vector there is kept instead. The
     result improves (weakly) at every collected belief.
     """
-    if cache is None:
-        cache = BackupCache(model, bank)
-    belief_mat = bank.belief_matrix()
+    belief_mat = cache.beliefs
     old_values = vf.values_at(belief_mat)
     remaining = np.arange(len(belief_mat))
     new_vectors = []
@@ -300,7 +296,7 @@ def perseus_update(model, vf: ValueFunction, bank: SampleBank,
     while remaining.size:
         pick = remaining[rng.integers(remaining.size)]
         xi = belief_mat[pick]
-        alpha = backup(model, vf, bank, xi, cache)
+        alpha = backup(model, vf, cache, xi)
         if float(xi @ alpha.values) < old_values[pick]:
             alpha = vf.vectors[int(np.argmax(vf.matrix @ xi))]
         improved = belief_mat[remaining] @ alpha.values >= old_values[remaining]
@@ -333,8 +329,7 @@ class SolveResult:
         return len(self.trace)
 
 
-def _bellman_sweep(model, vf: ValueFunction, bank: SampleBank,
-                   cache: BackupCache, epsilon: float):
+def _bellman_sweep(model, vf: ValueFunction, cache: BackupCache, epsilon: float):
     """Back up every collected belief once; return vectors improving > epsilon.
 
     A randomized pass can terminate with a tiny sup-norm change while large
@@ -342,7 +337,7 @@ def _bellman_sweep(model, vf: ValueFunction, bank: SampleBank,
     belief, ending the pass before the improvable ones are picked. The sweep
     certifies (or refutes) stability under backups at all of B.
     """
-    belief_mat = bank.belief_matrix()
+    belief_mat = cache.beliefs
     values, actions = backup_beliefs(model, vf, belief_mat, cache)
     improved = np.einsum("bs,bs->b", belief_mat, values) > vf.values_at(belief_mat) + epsilon
     improving = []
@@ -364,19 +359,19 @@ def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = No
     epsilon scales with the largest stage-reward magnitude.
     """
     start = time.perf_counter()
+    cache = BackupCache(model, bank)
     if epsilon is None:
-        epsilon = 1e-4 * max(np.abs(compute_stage_reward(model).values).max(), 1.0)
+        epsilon = 1e-4 * max(np.abs(cache.stage_reward).max(), 1.0)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     rng = np.random.default_rng(seed)
-    cache = BackupCache(model, bank)
     vf = v0 if v0 is not None else initial_value_function(model, bank)
-    belief_mat = bank.belief_matrix()
+    belief_mat = cache.beliefs
     values = vf.values_at(belief_mat)
 
     result = SolveResult(value_function=vf)
     for iteration in range(1, max_iters + 1):
-        vf = perseus_update(model, vf, bank, rng, cache)
+        vf = perseus_update(model, vf, cache, rng)
         new_values = vf.values_at(belief_mat)
         diffs = new_values - values
         record = IterationRecord(
@@ -388,7 +383,7 @@ def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = No
         )
         values = new_values
         if record.residual < epsilon:
-            improving = _bellman_sweep(model, vf, bank, cache, epsilon)
+            improving = _bellman_sweep(model, vf, cache, epsilon)
             if improving:
                 vf = ValueFunction(vf.vectors + improving)
                 values = vf.values_at(belief_mat)

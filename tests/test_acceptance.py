@@ -158,7 +158,7 @@ def test_criterion_6_backup_brute_force_equivalence():
             for _ in range(int(rng.integers(1, 4)))
         ])
         xi = rng.dirichlet(np.ones(m.n_states))
-        alpha = backup(m, vf, bank, xi)
+        alpha = backup(m, vf, posmdp.BackupCache(m, bank), xi)
         ref_values, ref_action = brute_force_backup(m, vf, bank, xi)
         np.testing.assert_allclose(alpha.values, ref_values, atol=1e-10)
         assert alpha.action == ref_action
@@ -240,7 +240,7 @@ def test_backup_time_scales_linearly_in_samples():
         for _ in range(7):
             t0 = time.perf_counter()
             for _ in range(5):
-                backup(m, vf, bank, xi, cache)
+                backup(m, vf, cache, xi)
             best = min(best, (time.perf_counter() - t0) / 5)
         return best
 

@@ -5,6 +5,10 @@ beta) and adaptive quadrature, frozen as literals where noted.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import posmdp
 from posmdp.distributions import (
     BetaDensity,
     DeterministicAtom,
@@ -175,6 +180,23 @@ class TestTruncatedGaussian:
         # Frozen quadrature values over the scipy.stats reference density.
         assert self.dist.expected_discount(beta) == pytest.approx(expected, abs=1e-6)
 
+    @pytest.mark.parametrize("beta", [0.01, 0.5, 2.0])
+    @pytest.mark.parametrize("sigma", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("mu", [10.0, 2.0, 0.5, -1.0, -3.0])
+    def test_closed_form_discount_vs_quadrature(self, mu, sigma, beta):
+        # Negative means put most of the Gaussian's mass below the truncation.
+        ref = stats.truncnorm(-mu / sigma, np.inf, loc=mu, scale=sigma)
+        peak = max(mu, 0.0)
+        truth, _ = integrate.quad(lambda t: math.exp(-beta * t) * ref.pdf(t),
+                                  0.0, peak + 40.0 * sigma, points=[peak],
+                                  epsabs=0.0, epsrel=1e-12, limit=200)
+        assert TruncatedGaussian(mu, sigma).expected_discount(beta) == pytest.approx(
+            truth, rel=1e-9)
+
+    @pytest.mark.parametrize("mu,sigma", [(10.0, 1.5), (-3.0, 0.5)])
+    def test_zero_rate_discount_is_one(self, mu, sigma):
+        assert TruncatedGaussian(mu, sigma).expected_discount(0.0) == 1.0
+
     def test_mean(self):
         assert self.dist.mean() == pytest.approx(self.ref.mean(), rel=1e-9)
 
@@ -240,3 +262,13 @@ class TestBetaDensity:
                 dist.pdf(bad)
         with pytest.raises(ValueError):
             BetaDensity(0.0, 1.0)
+
+
+def test_package_import_leaves_out_quadrature():
+    # Every sojourn law's expected discount is in closed form, so importing
+    # the package must not load scipy's quadrature module.
+    src = str(Path(posmdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import posmdp, sys; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -142,7 +142,7 @@ class TestBackup:
         bank = collect(m, 4, seed=1)
         vf = constant_value_function(m, 0.0)
         xi = rng.dirichlet(np.ones(3))
-        alpha = backup(m, vf, bank, xi)
+        alpha = backup(m, vf, BackupCache(m, bank), xi)
         stage = posmdp.compute_stage_reward(m).values
         best = int(np.argmax(xi @ stage))
         assert alpha.action == best
@@ -180,21 +180,10 @@ class TestBackup:
              for _ in range(3)]
         )
         xi = rng.dirichlet(np.ones(m.n_states))
-        alpha = backup(m, vf, bank, xi)
+        alpha = backup(m, vf, BackupCache(m, bank), xi)
         ref_values, ref_action = brute_force_backup(m, vf, bank, xi)
         np.testing.assert_allclose(alpha.values, ref_values, atol=1e-10)
         assert alpha.action == ref_action
-
-    def test_cache_reuse_is_equivalent(self, rng, random_model_factory):
-        m = random_model_factory(rng)
-        bank = collect(m, 6, seed=2)
-        vf = constant_value_function(m, -5.0)
-        xi = rng.dirichlet(np.ones(3))
-        cache = BackupCache(m, bank)
-        a1 = backup(m, vf, bank, xi)
-        a2 = backup(m, vf, bank, xi, cache)
-        np.testing.assert_array_equal(a1.values, a2.values)
-        assert a1.action == a2.action
 
 
 def make_shared_law_model(laws, n_states=3, n_observations=2, seed=0):
@@ -253,7 +242,7 @@ class TestSampleGroupMerge:
             vf = ValueFunction([AlphaVector(rng.normal(size=3) * 10, int(rng.integers(2)))
                                 for _ in range(3)])
             xi = rng.dirichlet(np.ones(3))
-            alpha = backup(m, vf, bank, xi, cache)
+            alpha = backup(m, vf, cache, xi)
             ref_values, ref_action = brute_force_backup(m, vf, bank, xi)
             np.testing.assert_allclose(alpha.values, ref_values, atol=1e-10)
             assert alpha.action == ref_action
@@ -275,7 +264,7 @@ def loop_sweep(model, vf, bank, cache, epsilon):
     """Reference verification sweep: one backup per belief, in order."""
     improving = []
     for xi, old in zip(bank.belief_matrix(), vf.values_at(bank.belief_matrix())):
-        alpha = backup(model, vf, bank, xi, cache)
+        alpha = backup(model, vf, cache, xi)
         if float(xi @ alpha.values) > old + epsilon and not any(
             np.max(np.abs(alpha.values - other.values)) <= 1e-9 for other in improving
         ):
@@ -293,13 +282,13 @@ class TestBatchedSweep:
         rng = np.random.default_rng(4)
         for _ in range(2):
             epsilon = 1e-4 * np.abs(cache.stage_reward).max()
-            got = _bellman_sweep(m, vf, bank, cache, epsilon)
+            got = _bellman_sweep(m, vf, cache, epsilon)
             want = loop_sweep(m, vf, bank, cache, epsilon)
             assert got, "the sweep should find improvements"
             assert [a.action for a in got] == [a.action for a in want]
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-9)
-            vf = perseus_update(m, vf, bank, rng, cache)
+            vf = perseus_update(m, vf, cache, rng)
 
     def test_kernel_respects_admissibility(self, random_model_factory):
         rng = np.random.default_rng(5)
@@ -330,16 +319,17 @@ class TestBatchedSweep:
                                                         [True, True]]))
         bank = collect(m, 5, seed=0)
         with pytest.raises(ValueError):
-            backup(m, constant_value_function(m, 0.0), bank, [0.5, 0.5, 0.0])
+            backup(m, constant_value_function(m, 0.0), BackupCache(m, bank), [0.5, 0.5, 0.0])
 
 
 class TestPerseusUpdate:
     def test_weak_improvement_everywhere(self, rng, random_model_factory):
         m = random_model_factory(rng)
         bank = collect(m, 30, seed=3)
+        cache = BackupCache(m, bank)
         vf = conservative_value_function(m)
         for _ in range(5):
-            new_vf = perseus_update(m, vf, bank, rng)
+            new_vf = perseus_update(m, vf, cache, rng)
             mat = bank.belief_matrix()
             assert np.all(new_vf.values_at(mat) >= vf.values_at(mat) - 1e-9)
             vf = new_vf
@@ -347,7 +337,7 @@ class TestPerseusUpdate:
     def test_no_duplicate_vectors(self, rng, random_model_factory):
         m = random_model_factory(rng)
         bank = collect(m, 40, seed=4)
-        vf = perseus_update(m, conservative_value_function(m), bank, rng)
+        vf = perseus_update(m, conservative_value_function(m), BackupCache(m, bank), rng)
         mat = vf.matrix
         for i in range(len(vf)):
             for j in range(i + 1, len(vf)):
