@@ -254,15 +254,6 @@ class SojournFamily:
     cells: tuple  # (rows, cols)
     params: tuple
 
-    @classmethod
-    def from_laws(cls, laws):
-        """Family table of ``(dist, (rows, cols))`` pairs that share one kind."""
-        rows = np.concatenate([r for _, (r, _) in laws])
-        cols = np.concatenate([c for _, (_, c) in laws])
-        params = tuple(np.concatenate([np.full(len(r), dist.params[i]) for dist, (r, _) in laws])
-                       for i in range(len(laws[0][0].params)))
-        return cls(type(laws[0][0]), (rows, cols), params)
-
     @property
     def atom(self):
         """The atom locations per cell, or None for a continuous family."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,14 +70,13 @@ class MixedObservable:
 
 @dataclass(frozen=True)
 class PosmdpModel:
-    """Model arrays plus the sojourn tables built from ``sojourn``.
+    """Model arrays plus the sojourn table built from ``sojourn``.
 
-    ``sojourn_laws[a]`` lists each distinct law under action ``a`` once
-    (dataclass equality, in order of first appearance) as a pair
-    ``(dist, (rows, cols))`` of the law and the ``[s, s']`` cells it governs.
-    ``sojourn_families[a]`` holds the same laws as one
-    :class:`~posmdp.distributions.SojournFamily` per distribution family, which
-    is what the density methods evaluate. ``transition_cdf`` and
+    ``sojourn_families[a]`` holds the laws under action ``a`` as one
+    :class:`~posmdp.distributions.SojournFamily` per distribution family (in
+    order of first appearance), with the ``[s, s']`` cells of each law and
+    their parameters as arrays; the density methods evaluate one numpy
+    expression per family. ``transition_cdf`` and
     ``observation_cdf`` are the cumulative rows of ``transition`` (over s') and
     ``observation_kernel`` (over o) that sampling draws from.
     """
@@ -108,23 +108,18 @@ class PosmdpModel:
             got = np.shape(getattr(self, name))
             if got != shape:
                 raise ValueError(f"{name} has shape {got}, expected {shape}")
-        laws = [{} for _ in self.actions]
+        families = [{} for _ in self.actions]  # per action: kind -> [(s, s', *params)]
         for (s, a, s2), dist in self.sojourn.items():
             if not (0 <= s < n_s and 0 <= a < n_a and 0 <= s2 < n_s):
                 raise ValueError(f"sojourn key (s={s}, a={a}, s'={s2}) is out of range")
-            laws[a].setdefault(dist, []).append((s, s2))
-        object.__setattr__(self, "sojourn_laws", tuple(
-            tuple((dist, tuple(np.array(cells).T)) for dist, cells in by_law.items())
-            for by_law in laws
-        ))
-        families = [{} for _ in self.actions]
-        for a, by_law in enumerate(self.sojourn_laws):
-            for law in by_law:
-                families[a].setdefault(type(law[0]), []).append(law)
-        object.__setattr__(self, "sojourn_families", tuple(
-            tuple(SojournFamily.from_laws(members) for members in by_kind.values())
-            for by_kind in families
-        ))
+            families[a].setdefault(type(dist), []).append((s, s2, *dist.params))
+        for by_kind in families:
+            for kind, members in by_kind.items():
+                rows, cols, *params = zip(*members)
+                by_kind[kind] = SojournFamily(kind, (np.array(rows), np.array(cols)),
+                                              tuple(np.array(p, dtype=float) for p in params))
+        object.__setattr__(self, "sojourn_families",
+                           tuple(tuple(by_kind.values()) for by_kind in families))
         object.__setattr__(self, "atom_values", frozenset(
             d.atom for d in self.sojourn.values() if d.atom is not None))
         object.__setattr__(self, "transition_cdf", np.cumsum(self.transition, axis=2))
@@ -539,6 +534,12 @@ def model_to_dict(model: PosmdpModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> PosmdpModel:
+    """Build a model from a parsed document.
+
+    Any malformed part, whether a missing key, a value of the wrong type, a
+    non-integer index or an array of the wrong shape, ends in
+    :class:`ModelFormatError`.
+    """
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     unknown = set(doc) - _TOP_LEVEL_KEYS
@@ -550,7 +551,19 @@ def model_from_dict(doc: dict) -> PosmdpModel:
         raise ModelFormatError(f"missing required keys: {sorted(missing)}")
     if doc["version"] != MODEL_FILE_VERSION:
         raise ModelFormatError(f"unsupported model file version {doc['version']!r}")
+    try:
+        return _parse_model(doc)
+    except ModelFormatError:
+        raise
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ModelFormatError(f"malformed model document: {type(exc).__name__}: {exc}"
+                               ) from exc
 
+
+def _parse_model(doc: dict) -> PosmdpModel:
+    # Indices go through operator.index, so that 0.5 is rejected, not read as 0.
     states = tuple(doc["states"])
     actions = tuple(doc["actions"])
 
@@ -558,7 +571,7 @@ def model_from_dict(doc: dict) -> PosmdpModel:
     if isinstance(obs_field, dict):
         if set(obs_field) != {"bins"}:
             raise ModelFormatError("observations object must be {'bins': j}")
-        bins = int(obs_field["bins"])
+        bins = operator.index(obs_field["bins"])
         observations = tuple(f"o{k:03d}" for k in range(bins))
     else:
         observations = tuple(obs_field)
@@ -566,13 +579,8 @@ def model_from_dict(doc: dict) -> PosmdpModel:
 
     sojourn = {}
     for rec in doc["sojourn"]:
-        key = (int(rec["s"]), int(rec["a"]), int(rec["s_next"]))
-        try:
-            sojourn[key] = _dist_from_dict(rec["dist"])
-        except (KeyError, ValueError, TypeError) as exc:
-            if isinstance(exc, ModelFormatError):
-                raise
-            raise ModelFormatError(f"bad sojourn record {rec!r}: {exc}") from exc
+        key = tuple(operator.index(rec[name]) for name in ("s", "a", "s_next"))
+        sojourn[key] = _dist_from_dict(rec["dist"])
 
     kernel_field = doc["observation_kernel"]
     if isinstance(kernel_field, dict):
@@ -582,9 +590,9 @@ def model_from_dict(doc: dict) -> PosmdpModel:
         for rec in kernel_field["beta"]:
             row = discretized_beta_row(BetaDensity(rec["phi"], rec["eta"]), bins)
             if "s_next" in rec:
-                kernel[:, int(rec["s_next"]), :] = row
+                kernel[:, operator.index(rec["s_next"]), :] = row
             elif "a" in rec:
-                kernel[int(rec["a"]), :, :] = row
+                kernel[operator.index(rec["a"]), :, :] = row
             else:
                 raise ModelFormatError(
                     f"beta kernel record needs 'a' or 's_next': {rec!r}"
@@ -611,24 +619,20 @@ def model_from_dict(doc: dict) -> PosmdpModel:
             state_coords=tuple(tuple(c) for c in m["state_coords"]),
         )
 
-    try:
-        model = PosmdpModel(
-            states=states,
-            actions=actions,
-            observations=observations,
-            transition=np.asarray(doc["transition"], dtype=float),
-            sojourn=sojourn,
-            observation_kernel=kernel,
-            lump_reward=np.asarray(doc["r1"], dtype=float),
-            rate_reward=np.asarray(doc["r2"], dtype=float),
-            beta=float(doc["beta"]),
-            initial_belief=np.asarray(doc["initial_belief"], dtype=float),
-            admissible=admissible,
-            mixed_observable=mixed,
-        )
-    except (ValueError, TypeError) as exc:
-        raise ModelFormatError(str(exc)) from exc
-    return model
+    return PosmdpModel(
+        states=states,
+        actions=actions,
+        observations=observations,
+        transition=np.asarray(doc["transition"], dtype=float),
+        sojourn=sojourn,
+        observation_kernel=kernel,
+        lump_reward=np.asarray(doc["r1"], dtype=float),
+        rate_reward=np.asarray(doc["r2"], dtype=float),
+        beta=float(doc["beta"]),
+        initial_belief=np.asarray(doc["initial_belief"], dtype=float),
+        admissible=admissible,
+        mixed_observable=mixed,
+    )
 
 
 def load_model(source) -> PosmdpModel:

@@ -4,8 +4,10 @@ The value function is a finite set of alpha vectors, each an |S|-dimensional
 hyperplane tagged with the action whose backup produced it. A backup at one
 belief replaces the sojourn-time integral in the Bellman operator with a
 Monte Carlo sum over the collected time samples, reweighted by
-``exp(-beta * tau_n) / D(tau_n)`` against the collection mixture ``D``. Sampled
-times whose density slices are proportional share one term (see
+``exp(-beta * tau_n) / D(tau_n)`` against the collection mixture ``D``. The
+solver sees the sojourn laws only through their densities at the sampled
+times: equal times share one term, and so do times at which every nonzero
+density of an action takes one value on the same cells (see
 :class:`BackupCache`), which on models with one sojourn law per action leaves
 one term per action.
 
@@ -142,7 +144,7 @@ def conservative_value_function(model) -> ValueFunction:
     m_min = compute_stage_reward(model).minimum()
     if m_min == 0.0:
         return constant_value_function(model, 0.0)
-    discounts = [d.expected_discount(model.beta) for laws in model.sojourn_laws for d, _ in laws]
+    discounts = [d.expected_discount(model.beta) for d in set(model.sojourn.values())]
     lam = min(discounts) if m_min > 0 else max(discounts)
     if lam >= 1.0:
         raise InitialValueError(
@@ -163,16 +165,17 @@ class BackupCache:
 
     Samples with equal tau share one group: the density depends on a sample
     only through tau, so the thousands of repeats that atom-valued sojourn
-    laws produce collapse exactly. Within an action, the triples are then
-    split by sojourn law, taken from the model's law table
-    ``model.sojourn_laws``. At a time where exactly one law ``d`` has nonzero
-    density the slice is ``f_d(tau) P_a`` masked to ``d``'s cells, so all
-    such times fold into one group per law, with slice ``P_a`` masked to
-    ``d``'s cells and weight ``sum_g kappa_g f_d(tau_g)``.
-    This is exact: a backup takes, per group and observation, the argmax over
+    laws produce collapse exactly. The groups are then read off the
+    ``[tau, s, s']`` densities alone. At a time where every nonzero density
+    of action ``a`` takes one value ``level(tau)``, the slice is
+    ``level(tau) P_a`` masked to that support, so all such times with the
+    same support fold into one group with slice ``P_a`` on the support and
+    weight ``sum_g kappa_g level(tau_g)`` (groups ordered by their first
+    support cell). This covers every time at which one sojourn law is active.
+    It is exact: a backup takes, per group and observation, the argmax over
     alpha vectors of a linear score, which positive scaling leaves unchanged,
-    and its contribution is linear in the slice. Times at which two or more
-    laws are active keep their own group.
+    and its contribution is linear in the slice. Every other time with a
+    nonzero density keeps its own group.
     """
 
     def __init__(self, model, bank: SampleBank):
@@ -188,23 +191,22 @@ class BackupCache:
         for a in range(model.n_actions):
             transition = model.transition[:, a, :]
             f_vals = model.sojourn_density_samples(a, unique_taus)  # [n, s, s']
-            laws = [cells for _, cells in model.sojourn_laws[a]]
-            # f_d(tau) of each law, read at its first cell: [d, n].
-            law_density = np.array([f_vals[:, rows[0], cols[0]] for rows, cols in laws]
-                                   ).reshape(len(laws), unique_taus.size)
-            active = law_density > 0
-            n_active = active.sum(axis=0)
-            slices, weights = [], []
-            for cells, f_d, on in zip(laws, law_density, active):
-                merge = on & (n_active == 1)
-                if merge.any():
-                    masked = np.zeros_like(transition)
-                    masked[cells] = transition[cells]
-                    slices.append(masked)
-                    weights.append(kappa_grouped[merge] @ f_d[merge])
-            keep = np.flatnonzero(n_active > 1)
-            groups = np.concatenate([np.array(slices).reshape(-1, *transition.shape),
-                                     transition[None] * f_vals[keep]])
+            flat = f_vals.reshape(unique_taus.size, transition.size)
+            level = flat.max(axis=1)
+            level_only = ((flat == level[:, None]) | (flat == 0)).all(axis=1)
+            fold = np.flatnonzero(level_only & (level > 0))
+            keep = np.flatnonzero(~level_only)
+            # Each time's off-support mask as one byte string: these sort with
+            # the earliest support cell first, and compare as whole strings
+            # where np.unique(axis=0) would compare them cell by cell.
+            off_support = flat[fold] == 0
+            _, first, which = np.unique(off_support.view(f"V{transition.size}").ravel(),
+                                        return_index=True, return_inverse=True)
+            slices = np.where(off_support[first], 0.0, transition.ravel()
+                              ).reshape(-1, *transition.shape)
+            weights = [kappa_grouped[fold[which == g]] @ level[fold[which == g]]
+                       for g in range(first.size)]
+            groups = np.concatenate([slices, transition[None] * f_vals[keep]])
             self.trans_sojourn.append(np.ascontiguousarray(groups.transpose(1, 0, 2)))
             self.kappa.append(np.concatenate([weights, kappa_grouped[keep]]))
         # G as [o, s'] per action for mixing with alpha vectors.

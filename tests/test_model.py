@@ -246,17 +246,6 @@ class TestSojournDensities:
 
 
 class TestSojournLaws:
-    def test_law_counts(self, bus_model, maintenance_model):
-        assert [len(laws) for laws in bus_model.sojourn_laws] == [6, 5]
-        assert [len(laws) for laws in maintenance_model.sojourn_laws] == [1, 1, 1, 1]
-
-    def test_laws_cover_every_triple_once(self, bus_model):
-        for a, laws in enumerate(bus_model.sojourn_laws):
-            seen = [(int(s), a, int(s2)) for dist, (rows, cols) in laws
-                    for s, s2 in zip(rows, cols)
-                    if bus_model.sojourn[(int(s), a, int(s2))] == dist]
-            assert sorted(seen) == sorted(k for k in bus_model.sojourn if k[1] == a)
-
     @pytest.mark.parametrize("name", ["bus", "maintenance", "random"])
     def test_densities_match_per_triple_oracle(self, name, bus_model, maintenance_model,
                                                random_model_factory):
@@ -347,6 +336,17 @@ MALFORMED = {
     "sojourn_action_too_large": lambda doc: _append_sojourn(doc, 0, 5, 3),
     "nan_transition": lambda doc: _set_nan(doc["transition"], 0, 0, 3),
     "admissible_extra_row": lambda doc: doc.update(admissible=[["bus", "bike"]] * 16),
+    "admissible_row_is_number": lambda doc: doc.update(admissible=[["bus", "bike"]] * 14 + [5]),
+    "sojourn_record_without_s": lambda doc: doc["sojourn"][0].pop("s"),
+    "sojourn_state_not_integer": lambda doc: doc["sojourn"][0].update(s=0.5),
+    "sojourn_dist_not_object": lambda doc: doc["sojourn"][0].update(dist=5),
+    "sojourn_is_number": lambda doc: doc.update(sojourn=5),
+    "states_is_number": lambda doc: doc.update(states=5),
+    "mixed_observable_without_hidden_labels": lambda doc: doc["mixed_observable"].pop(
+        "hidden_labels"),
+    "state_coords_is_number": lambda doc: doc["mixed_observable"].update(state_coords=5),
+    "beta_kernel_record_without_phi": lambda doc: doc.update(
+        observation_kernel={"beta": [{"s_next": 0, "eta": 18}]}),
 }
 
 

@@ -230,6 +230,9 @@ class TestSampleGroupMerge:
         # Action 0 mixes an atom law and a continuous law over its cells.
         ((lambda s, s2: ATOM if s2 == 0 else CONTINUOUS, lambda s, s2: CONTINUOUS),
          [2, 1]),
+        # Action 0 has atoms at 3 and at 5 and a continuous law: one group per support.
+        ((lambda s, s2: (ATOM, posmdp.DeterministicAtom(5.0), CONTINUOUS)[s2],
+          lambda s, s2: CONTINUOUS), [3, 1]),
     ])
     def test_merged_backup_matches_brute_force(self, laws, merged):
         m = make_shared_law_model(laws)
@@ -252,6 +255,11 @@ class TestSampleGroupMerge:
         assert unmerged_group_counts(maintenance_model, bank)[3] > 1
         cache = BackupCache(maintenance_model, bank)
         assert [k.size for k in cache.kappa] == [1, 1, 1, 1]
+
+    def test_bank_without_samples_has_no_groups(self, bus_model):
+        cache = BackupCache(bus_model, collect(bus_model, 1, seed=0))
+        assert [k.size for k in cache.kappa] == [0, 0]
+        assert [m.shape for m in cache.trans_sojourn] == [(15, 0, 15)] * 2
 
     def test_bus_is_not_merged(self, bus_model):
         # Bus rides have five inverse-Gaussian laws active at every time.
