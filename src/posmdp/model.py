@@ -590,9 +590,9 @@ def _parse_model(doc: dict) -> PosmdpModel:
         for rec in kernel_field["beta"]:
             row = discretized_beta_row(BetaDensity(rec["phi"], rec["eta"]), bins)
             if "s_next" in rec:
-                kernel[:, operator.index(rec["s_next"]), :] = row
+                kernel[:, _kernel_index(rec, "s_next", len(states)), :] = row
             elif "a" in rec:
-                kernel[operator.index(rec["a"]), :, :] = row
+                kernel[_kernel_index(rec, "a", len(actions)), :, :] = row
             else:
                 raise ModelFormatError(
                     f"beta kernel record needs 'a' or 's_next': {rec!r}"
@@ -635,8 +635,21 @@ def _parse_model(doc: dict) -> PosmdpModel:
     )
 
 
+def _kernel_index(rec: dict, name: str, size: int) -> int:
+    # A negative index would wrap onto another row instead of failing.
+    index = operator.index(rec[name])
+    if not 0 <= index < size:
+        raise ModelFormatError(f"beta kernel record '{name}' is {index}, "
+                               f"outside 0..{size - 1}")
+    return index
+
+
 def load_model(source) -> PosmdpModel:
-    """Load and validate a model from a path, file object, or JSON bytes/str."""
+    """Load and validate a model from a path, file object, or JSON bytes/str.
+
+    A string that opens a JSON object or array, or is a whole JSON value such
+    as ``"5"``, is read as a document; any other string is a path.
+    """
     if isinstance(source, (bytes, str)) and not _looks_like_path(source):
         text = source
     elif hasattr(source, "read"):
@@ -657,10 +670,13 @@ def load_model(source) -> PosmdpModel:
 
 
 def _looks_like_path(source) -> bool:
-    if isinstance(source, bytes):
+    if isinstance(source, bytes) or source.lstrip().startswith(("{", "[")):
         return False
-    stripped = source.lstrip()
-    return not (stripped.startswith("{") or stripped.startswith("["))
+    try:
+        json.loads(source)
+    except json.JSONDecodeError:
+        return True
+    return False
 
 
 def save_model(model: PosmdpModel, path) -> None:

@@ -14,16 +14,24 @@ one term per action.
 The outer loop backs up a shrinking random subset of the collected beliefs
 until every one of them is improved, and repeats until the sup-norm change
 over the belief set falls below a threshold. That randomized pass is
-sequential, since each pick depends on the vectors found before it. The
-verification sweep that certifies convergence backs up every collected belief
-at once, as one batched contraction over the belief matrix
-(:func:`backup_beliefs`); a single backup is the one-row case of the same
-kernel.
+sequential, since each pick depends on the vectors found before it, but its
+value function is fixed for the whole pass. So, as in Perseus and PBVI, every
+alpha vector is back-projected through every sample group and observation
+once per value function (:meth:`BackupCache.projection`), and the pass and
+the verification sweep that follows it share that tensor. A backup is then
+two stages (:func:`backup_beliefs`): scores ``xi @ proj`` give every action's
+value and the best action, and only then is the winner's vector assembled,
+by gathering its maximizing projections. A single backup is the one-row case
+of the same kernel. The sweep that certifies convergence scores every
+collected belief at once and assembles vectors only where the score could
+beat the old value by epsilon (within :data:`SCREEN_SLACK`), then applies the
+exact test to them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -176,6 +184,12 @@ class BackupCache:
     alpha vectors of a linear score, which positive scaling leaves unchanged,
     and its contribution is linear in the slice. Every other time with a
     nonzero density keeps its own group.
+
+    The groups of all actions, concatenated, index ``k``. ``weights[k o, a]``
+    holds ``kappa_k`` where group ``k`` belongs to action ``a`` and 0 elsewhere,
+    so one product with it sums each action's terms. The cache also keeps the
+    back-projection of the last value function it was asked for (see
+    :meth:`projection`), which every backup against that value function reads.
     """
 
     def __init__(self, model, bank: SampleBank):
@@ -211,14 +225,76 @@ class BackupCache:
             self.kappa.append(np.concatenate([weights, kappa_grouped[keep]]))
         # G as [o, s'] per action for mixing with alpha vectors.
         self.obs = [model.observation_kernel[a].T.copy() for a in range(model.n_actions)]
+        # weights[k o, a]: kappa_k on the columns of action a's groups, else 0.
+        group_action = np.repeat(np.arange(model.n_actions), [k.size for k in self.kappa])
+        self.weights = np.repeat(np.concatenate(self.kappa)[:, None] * (
+            group_action[:, None] == np.arange(model.n_actions)), model.n_observations, axis=0)
+        self._projection = (None, None)
+
+    def projection(self, vf: ValueFunction) -> np.ndarray:
+        """``proj[v, k o, s] = sum_s' M[s, k, s'] G_a(k)[o, s'] alpha_v[s']`` for ``vf``,
+        built once and kept in one slot keyed by ``vf`` itself (held, so its id
+        cannot pass to another value function)."""
+        if self._projection[0] is not vf:
+            alpha = vf.matrix  # [v, s']
+            blocks = []
+            for m_a, g_a in zip(self.trans_sojourn, self.obs):
+                n_states, n_g, _ = m_a.shape
+                mixed = (g_a[:, None, :] * alpha[None]).reshape(-1, n_states)  # [o v, s']
+                proj_a = m_a.reshape(-1, n_states) @ mixed.T  # [s g, o v]
+                blocks.append(proj_a.reshape(n_states, n_g, len(g_a), len(alpha)
+                                             ).transpose(3, 1, 2, 0))
+            proj = np.concatenate(blocks, axis=1).reshape(len(alpha), -1, alpha.shape[1])
+            self._projection = (vf, proj)
+        return self._projection[1]
 
 
 # Elements of the largest block one chunk of a batched backup materializes:
-# the [b, g, o, v] scores and the [b, g, o, s'] chosen vectors (1 MB of
+# the [b, v, k o] scores and the [b, k o, s] gathered projections (1 MB of
 # float64). Larger blocks were no faster on the built-in models; at 4 MB the
 # maintenance solve used 1.6x its wall time in CPU, as BLAS split the products
 # over threads, and its peak memory grew by 4 MB.
 BACKUP_CHUNK_ELEMENTS = 1 << 17
+
+# The sweep assembles a row only when its stage-1 value exceeds old + epsilon
+# - slack, the slack being this share of max |R| + max |alpha|. Stage 1 and
+# the assembled xi . alpha sum the same products in another order, and differ
+# by about 2e-16 of that scale on the built-in models.
+SCREEN_SLACK = 1e-9
+
+
+def _backup_stages(model, vf: ValueFunction, beliefs: np.ndarray, cache: BackupCache,
+                   floor: np.ndarray):
+    """Return ``(value, action, rows, vectors)``: per row, the best admissible
+    action and its value ``xi . R_a + sum_k kappa_k sum_o max_v (xi @ proj)``;
+    then the [r, s] alpha vectors of the rows whose value exceeds ``floor``,
+    gathered from the winning ``proj[v, k o]`` of the row's action."""
+    beliefs = np.asarray(beliefs, dtype=float)
+    # inadmissible[b, a]: some state in belief b's support forbids action a.
+    inadmissible = ((beliefs > 0)[:, :, None] & ~model.admissible[None]).any(axis=1)
+    if inadmissible.all(axis=1).any():
+        raise ValueError("a belief's support has no commonly admissible action")
+    proj = cache.projection(vf)  # [v, k o, s]
+    n_v, n_ko, n_states = proj.shape
+    proj_flat = proj.reshape(n_v * n_ko, n_states)
+    value = np.empty(len(beliefs))
+    action = np.empty(len(beliefs), dtype=int)
+    rows, vectors = [np.empty(0, dtype=int)], [np.empty((0, n_states))]
+    chunk = max(1, BACKUP_CHUNK_ELEMENTS // max(n_ko * max(n_v, n_states), 1))
+    for lo in range(0, len(beliefs), chunk):
+        xi = beliefs[lo:lo + chunk]
+        scores = (xi @ proj_flat.T).reshape(len(xi), n_v, n_ko)
+        q = xi @ cache.stage_reward + scores.max(axis=1) @ cache.weights  # [b, a]
+        q[inadmissible[lo:lo + chunk]] = -np.inf
+        action[lo:lo + chunk] = best = q.argmax(axis=1)  # ties go to the lowest action
+        value[lo:lo + chunk] = q[np.arange(len(xi)), best]
+        need = np.flatnonzero(value[lo:lo + chunk] > floor[lo:lo + chunk])
+        gathered = proj[scores[need].argmax(axis=1), np.arange(n_ko)]  # [r, k o, s]
+        chosen = best[need]
+        vectors.append(cache.stage_reward[:, chosen].T
+                       + np.einsum("rk,rks->rs", cache.weights[:, chosen].T, gathered))
+        rows.append(lo + need)
+    return value, action, np.concatenate(rows), np.concatenate(vectors)
 
 
 def backup_beliefs(model, vf: ValueFunction, beliefs: np.ndarray, cache: BackupCache):
@@ -227,49 +303,14 @@ def backup_beliefs(model, vf: ValueFunction, beliefs: np.ndarray, cache: BackupC
     Returns ``(values, actions)``: the [n, s] backed-up alpha vectors and the
     [n] actions that produced them. Each row maximizes over the actions
     admissible in every state of its support, with ties going to the lowest
-    action. Beliefs are processed in chunks so the score tensor stays small.
+    action. The kernel runs in two stages over the cache's projection of
+    ``vf``: stage 1 scores every action from ``xi @ proj`` and picks the best;
+    stage 2 assembles only that action's vector. Beliefs are processed in
+    chunks so the score tensor stays small.
     """
-    beliefs = np.asarray(beliefs, dtype=float)
-    n_beliefs, n_states = beliefs.shape
-    # inadmissible[b, a]: some state in belief b's support forbids action a.
-    inadmissible = ((beliefs > 0)[:, :, None] & ~model.admissible[None]).any(axis=1)
-    if inadmissible.all(axis=1).any():
-        raise ValueError("a belief's support has no commonly admissible action")
-    alpha_mat = vf.matrix  # [v, s']
-    n_v = alpha_mat.shape[0]
-    n_obs = model.n_observations
-    best_values = np.empty((n_beliefs, n_states))
-    best_actions = np.empty(n_beliefs, dtype=int)
-    best_score = np.full(n_beliefs, -np.inf)
-    for a in range(model.n_actions):
-        n_g = cache.kappa[a].size
-        g_a = cache.obs[a]  # [o, s']
-        mixed = g_a[:, None, :] * alpha_mat[None, :, :]  # [o, v, s']
-        mixed_flat = mixed.reshape(n_obs * n_v, n_states)
-        m_flat = cache.trans_sojourn[a].reshape(n_states, -1)  # [s, g s']
-        chunk = max(1, BACKUP_CHUNK_ELEMENTS // max(n_g * n_obs * max(n_v, n_states), 1))
-        for lo in range(0, n_beliefs, chunk):
-            rows = slice(lo, lo + chunk)
-            allowed = ~inadmissible[rows, a]
-            if not allowed.any():
-                continue
-            xi = beliefs[rows]
-            n_b = xi.shape[0]
-            predicted = (xi @ m_flat).reshape(n_b * n_g, n_states)  # [b g, s']
-            # score[b, g, o, v] = sum_s' predicted[b,g,s'] G[o,s'] alpha[v,s']
-            scores = (predicted @ mixed_flat.T).reshape(n_b, n_g, n_obs, n_v)
-            winners = scores.argmax(axis=3)  # [b, g, o]
-            chosen = mixed[np.arange(n_obs), winners]  # [b, g, o, s']
-            future = cache.kappa[a][:, None] * chosen.sum(axis=2)  # [b, g, s']
-            alpha_a = cache.stage_reward[:, a] + future.reshape(n_b, n_g * n_states) @ m_flat.T
-            score = np.einsum("bs,bs->b", xi, alpha_a)
-            # Basic slices are views: these assignments write through. The
-            # strict comparison keeps the lowest action on ties.
-            better = allowed & (score > best_score[rows])
-            best_score[rows][better] = score[better]
-            best_values[rows][better] = alpha_a[better]
-            best_actions[rows][better] = a
-    return best_values, best_actions
+    _, actions, _, values = _backup_stages(model, vf, beliefs, cache,
+                                           np.full(len(beliefs), -np.inf))
+    return values, actions
 
 
 def backup(model, vf: ValueFunction, cache: BackupCache, belief):
@@ -278,8 +319,9 @@ def backup(model, vf: ValueFunction, cache: BackupCache, belief):
     return AlphaVector(values[0], int(actions[0]))
 
 
-def _is_duplicate(values: np.ndarray, collected: list) -> bool:
-    return any(np.max(np.abs(values - other.values)) <= DUPLICATE_TOL for other in collected)
+def _is_duplicate(values: np.ndarray, kept: np.ndarray) -> bool:
+    """Whether ``values`` lies within DUPLICATE_TOL of some row of [n, s] ``kept``."""
+    return bool((np.abs(kept - values).max(axis=1) <= DUPLICATE_TOL).any())
 
 
 def perseus_update(model, vf: ValueFunction, cache: BackupCache,
@@ -294,6 +336,7 @@ def perseus_update(model, vf: ValueFunction, cache: BackupCache,
     old_values = vf.values_at(belief_mat)
     remaining = np.arange(len(belief_mat))
     new_vectors = []
+    kept = np.empty_like(belief_mat)  # each pick settles a belief: at most |B| vectors
 
     while remaining.size:
         pick = remaining[rng.integers(remaining.size)]
@@ -306,7 +349,8 @@ def perseus_update(model, vf: ValueFunction, cache: BackupCache,
         # old vector), even if float summation order makes the sweep miss it.
         improved |= remaining == pick
         remaining = remaining[~improved]
-        if not _is_duplicate(alpha.values, new_vectors):
+        if not _is_duplicate(alpha.values, kept[:len(new_vectors)]):
+            kept[len(new_vectors)] = alpha.values
             new_vectors.append(alpha)
     return ValueFunction(new_vectors)
 
@@ -340,13 +384,16 @@ def _bellman_sweep(model, vf: ValueFunction, cache: BackupCache, epsilon: float)
     certifies (or refutes) stability under backups at all of B.
     """
     belief_mat = cache.beliefs
-    values, actions = backup_beliefs(model, vf, belief_mat, cache)
-    improved = np.einsum("bs,bs->b", belief_mat, values) > vf.values_at(belief_mat) + epsilon
-    improving = []
-    for b in np.flatnonzero(improved):
-        if not _is_duplicate(values[b], improving):
-            improving.append(AlphaVector(values[b], int(actions[b])))
-    return improving
+    old = vf.values_at(belief_mat)
+    slack = SCREEN_SLACK * (np.abs(cache.stage_reward).max() + np.abs(vf.matrix).max())
+    _, actions, rows, values = _backup_stages(model, vf, belief_mat, cache,
+                                              old + epsilon - slack)
+    improved = np.einsum("bs,bs->b", belief_mat[rows], values) > old[rows] + epsilon
+    candidates, actions = values[improved], actions[rows[improved]]
+    keep = np.zeros(len(candidates), dtype=bool)
+    for i, vec in enumerate(candidates):
+        keep[i] = not _is_duplicate(vec, candidates[:i][keep[:i]])
+    return [AlphaVector(vec, int(a)) for vec, a in zip(candidates[keep], actions[keep])]
 
 
 def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = None,
@@ -413,6 +460,7 @@ class PolicyMismatchError(ValueError):
 
 _POLICY_KEYS = {"model_hash", "converged", "vectors", "trace"}
 _TRACE_KEYS = {f.name for f in fields(IterationRecord)}
+_TRACE_COUNTS = {"iteration", "n_vectors"}
 
 
 def save_policy(result: SolveResult, model, path) -> None:
@@ -455,6 +503,12 @@ def load_policy(path, model) -> SolveResult:
         raise ModelFormatError("policy field 'trace' must be a list")
     for i, rec in enumerate(doc["trace"]):
         _check_keys(rec, _TRACE_KEYS, f"policy field 'trace[{i}]'")
+        for name, value in rec.items():
+            number = type(value) is int or (type(value) is float and math.isfinite(value))
+            if not (type(value) is int if name in _TRACE_COUNTS else number):
+                kind = "an integer" if name in _TRACE_COUNTS else "a finite number"
+                raise ModelFormatError(f"policy field 'trace[{i}].{name}' must be {kind}, "
+                                       f"got {value!r}")
     if not isinstance(doc["converged"], bool):
         raise ModelFormatError("policy field 'converged' must be true or false")
     return SolveResult(

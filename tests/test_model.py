@@ -322,6 +322,13 @@ def _set_nan(array, *index):
     array[index[-1]] = math.nan
 
 
+def _beta_kernel(doc, key, count, extra):
+    """Cover every ``key`` index with a beta row, then add one ``extra`` record,
+    which would only overwrite another row if its index wrapped."""
+    rows = [{key: i, "phi": 2, "eta": 18} for i in range(count)]
+    doc.update(observation_kernel={"beta": rows + [{key: extra, "phi": 6, "eta": 18}]})
+
+
 MALFORMED = {
     "nan_beta": lambda doc: doc.update(beta=math.nan),
     "negative_beta": lambda doc: doc.update(beta=-0.02),
@@ -347,6 +354,10 @@ MALFORMED = {
     "state_coords_is_number": lambda doc: doc["mixed_observable"].update(state_coords=5),
     "beta_kernel_record_without_phi": lambda doc: doc.update(
         observation_kernel={"beta": [{"s_next": 0, "eta": 18}]}),
+    "beta_kernel_s_next_negative": lambda doc: _beta_kernel(doc, "s_next", 15, -4),
+    "beta_kernel_s_next_too_large": lambda doc: _beta_kernel(doc, "s_next", 15, 15),
+    "beta_kernel_action_negative": lambda doc: _beta_kernel(doc, "a", 2, -1),
+    "beta_kernel_action_too_large": lambda doc: _beta_kernel(doc, "a", 2, 2),
 }
 
 
@@ -357,6 +368,14 @@ class TestMalformedDocuments:
         MALFORMED[mutation](doc)
         with pytest.raises(ModelFormatError):
             load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, count", [("s_next", 15), ("a", 2)])
+def test_beta_kernel_cover_loads(key, count, bus_model):
+    # The malformed beta-kernel cases differ from this document by their extra record.
+    doc = model_to_dict(bus_model)
+    _beta_kernel(doc, key, count, 0)
+    load_model(json.dumps(doc))
 
 
 class TestSerialization:
@@ -407,6 +426,11 @@ class TestSerialization:
         del doc["transition"]
         with pytest.raises(ModelFormatError, match="missing required"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("text", ["5", " null", '"bus.json"'])
+    def test_json_scalar_is_a_format_error(self, text):
+        with pytest.raises(ModelFormatError, match="JSON object"):
+            load_model(text)
 
     def test_invalid_json(self):
         with pytest.raises(ModelFormatError, match="invalid JSON"):

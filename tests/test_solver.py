@@ -15,11 +15,13 @@ import posmdp
 from posmdp.model import ModelFormatError
 from posmdp.sampler import SampleBank, collect
 from posmdp.solver import (
+    SCREEN_SLACK,
     AlphaVector,
     BackupCache,
     InitialValueError,
     PolicyMismatchError,
     ValueFunction,
+    _backup_stages,
     _bellman_sweep,
     backup,
     backup_beliefs,
@@ -185,6 +187,22 @@ class TestBackup:
         np.testing.assert_allclose(alpha.values, ref_values, atol=1e-10)
         assert alpha.action == ref_action
 
+    def test_projection_follows_the_value_function(self, random_model_factory):
+        # One cache serves backups under alternating value functions; a new
+        # object with the first one's vectors must not reuse a stale projection.
+        rng = np.random.default_rng(21)
+        m = random_model_factory(rng, with_atoms=True)
+        bank = collect(m, 6, seed=2)
+        cache = BackupCache(m, bank)
+        first, second = (ValueFunction([AlphaVector(rng.normal(size=3) * 10, i % 2)
+                                        for i in range(n)]) for n in (3, 4))
+        for vf in (first, second, first, second, ValueFunction(first.vectors), first):
+            xi = rng.dirichlet(np.ones(3))
+            alpha = backup(m, vf, cache, xi)
+            ref_values, ref_action = brute_force_backup(m, vf, bank, xi)
+            np.testing.assert_allclose(alpha.values, ref_values, atol=1e-10)
+            assert alpha.action == ref_action
+
 
 def make_shared_law_model(laws, n_states=3, n_observations=2, seed=0):
     """Random model in which ``laws[a](s, s2)`` gives the sojourn law of each
@@ -296,6 +314,51 @@ class TestBatchedSweep:
             assert [a.action for a in got] == [a.action for a in want]
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-9)
+            vf = perseus_update(m, vf, cache, rng)
+
+    @pytest.mark.parametrize("name", ["maintenance", "bus"])
+    def test_screened_sweep_matches_filtered_backups(self, name, maintenance_model,
+                                                     bus_model):
+        # The sweep assembles only rows whose stage-1 value clears the screen;
+        # it must equal backing up all of B and keeping xi . alpha > old + eps.
+        # Epsilon is the median gain, so the test cuts through the improving rows.
+        m = maintenance_model if name == "maintenance" else bus_model
+        bank = collect(m, 120, seed=3)
+        cache = BackupCache(m, bank)
+        vf = conservative_value_function(m)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            values, actions = backup_beliefs(m, vf, cache.beliefs, cache)
+            new, old = np.einsum("bs,bs->b", cache.beliefs, values), vf.values_at(cache.beliefs)
+            epsilon = np.median((new - old)[new > old])
+            improved = new > old + epsilon
+            assert improved.any()
+            want = []
+            for row, action in zip(values[improved], actions[improved]):
+                if not any(np.max(np.abs(row - w.values)) <= 1e-9 for w in want):
+                    want.append(AlphaVector(row, int(action)))
+            got = _bellman_sweep(m, vf, cache, epsilon)
+            assert [a.action for a in got] == [a.action for a in want]
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a.values, b.values)
+            vf = perseus_update(m, vf, cache, rng)
+
+    @pytest.mark.parametrize("name", ["maintenance", "bus"])
+    def test_stage_one_value_is_within_the_screen_slack(self, name, maintenance_model,
+                                                        bus_model):
+        # Stage 1's value and the assembled xi . alpha differ only by
+        # summation order; the screen's slack must cover that with room.
+        m = maintenance_model if name == "maintenance" else bus_model
+        cache = BackupCache(m, collect(m, 120, seed=3))
+        vf = conservative_value_function(m)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            floor = np.full(len(cache.beliefs), -np.inf)
+            value, _, rows, vectors = _backup_stages(m, vf, cache.beliefs, cache, floor)
+            np.testing.assert_array_equal(rows, np.arange(len(cache.beliefs)))
+            gap = np.abs(np.einsum("bs,bs->b", cache.beliefs, vectors) - value).max()
+            scale = np.abs(cache.stage_reward).max() + np.abs(vf.matrix).max()
+            assert gap <= 1e-3 * SCREEN_SLACK * scale
             vf = perseus_update(m, vf, cache, rng)
 
     def test_kernel_respects_admissibility(self, random_model_factory):
@@ -458,8 +521,14 @@ class TestPolicyFiles:
         (lambda doc: doc["trace"][0].update(extra=1), "trace[0]"),
         (lambda doc: doc["vectors"][0]["values"].pop(), "vectors[0].values"),
         (lambda doc: doc["vectors"][0].update(action="walk"), "vectors[0].action"),
+        (lambda doc: doc["trace"][0].update(iteration="x"), "trace[0].iteration"),
+        (lambda doc: doc["trace"][1].update(n_vectors=2.0), "trace[1].n_vectors"),
+        (lambda doc: doc["trace"][0].update(residual=None), "trace[0].residual"),
+        (lambda doc: doc["trace"][0].update(min_improvement=True), "trace[0].min_improvement"),
+        (lambda doc: doc["trace"][0].update(wall_time=math.nan), "trace[0].wall_time"),
     ], ids=["vectors_string", "missing_hash", "unknown_trace_key", "short_values",
-            "unknown_action"])
+            "unknown_action", "iteration_string", "n_vectors_float", "residual_null",
+            "min_improvement_bool", "wall_time_nan"])
     def test_malformed_file_names_the_field(self, mutate, field, tmp_path,
                                             random_model_factory):
         m = random_model_factory(np.random.default_rng(12))
