@@ -108,6 +108,12 @@ class PosmdpModel:
             got = np.shape(getattr(self, name))
             if got != shape:
                 raise ValueError(f"{name} has shape {got}, expected {shape}")
+        mixed = self.mixed_observable
+        if mixed is not None and (len(mixed.state_coords) != n_s or sorted(mixed.state_coords)
+                                  != list(np.ndindex(len(mixed.observable_labels),
+                                                     len(mixed.hidden_labels)))):
+            raise ValueError("mixed_observable.state_coords must list every (observable, "
+                             "hidden) pair exactly once, one pair per state")
         families = [{} for _ in self.actions]  # per action: kind -> [(s, s', *params)]
         for (s, a, s2), dist in self.sojourn.items():
             if not (0 <= s < n_s and 0 <= a < n_a and 0 <= s2 < n_s):
@@ -645,14 +651,8 @@ def _kernel_index(rec: dict, name: str, size: int) -> int:
 
 
 def load_model(source) -> PosmdpModel:
-    """Load and validate a model from a path, file object, or JSON bytes/str.
-
-    A string that opens a JSON object or array, or is a whole JSON value such
-    as ``"5"``, is read as a document; any other string is a path.
-    """
-    if isinstance(source, (bytes, str)) and not _looks_like_path(source):
-        text = source
-    elif hasattr(source, "read"):
+    """Load and validate a model from a path or a file object."""
+    if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source, "r", encoding="utf-8") as fh:
@@ -667,16 +667,6 @@ def load_model(source) -> PosmdpModel:
     if not report.ok:
         raise ModelFormatError("model fails validation: " + "; ".join(report.violations))
     return model
-
-
-def _looks_like_path(source) -> bool:
-    if isinstance(source, bytes) or source.lstrip().startswith(("{", "[")):
-        return False
-    try:
-        json.loads(source)
-    except json.JSONDecodeError:
-        return True
-    return False
 
 
 def save_model(model: PosmdpModel, path) -> None:

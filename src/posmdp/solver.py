@@ -6,8 +6,8 @@ belief replaces the sojourn-time integral in the Bellman operator with a
 Monte Carlo sum over the collected time samples, reweighted by
 ``exp(-beta * tau_n) / D(tau_n)`` against the collection mixture ``D``. The
 solver sees the sojourn laws only through their densities at the sampled
-times: equal times share one term, and so do times at which every nonzero
-density of an action takes one value on the same cells (see
+times: equal times share one term, and so do times whose ``[s, s']`` density
+rows under an action are equal once each is divided by its largest entry (see
 :class:`BackupCache`), which on models with one sojourn law per action leaves
 one term per action.
 
@@ -17,8 +17,9 @@ over the belief set falls below a threshold. That randomized pass is
 sequential, since each pick depends on the vectors found before it, but its
 value function is fixed for the whole pass. So, as in Perseus and PBVI, every
 alpha vector is back-projected through every sample group and observation
-once per value function (:meth:`BackupCache.projection`), and the pass and
-the verification sweep that follows it share that tensor. A backup is then
+once per value function, by one product with an operator the cache stores
+(:meth:`BackupCache.projection`), and the pass and the verification sweep
+that follows it share that tensor. A backup is then
 two stages (:func:`backup_beliefs`): scores ``xi @ proj`` give every action's
 value and the best action, and only then is the winner's vector assembled,
 by gathering its maximizing projections. A single backup is the one-row case
@@ -166,30 +167,30 @@ class BackupCache:
     """Per-(model, bank) precomputation shared by every backup.
 
     Stores the bank's [b, s] belief matrix ``beliefs``, the stage rewards
-    ``stage_reward`` and, per action, sample *groups*: [s, s'] slices
-    ``M_a[g]`` of ``P(s'|s,a) f(tau|s,a,s')``, laid out as one [s, g, s']
-    array, with importance weights ``kappa_a[g]``, the factors
-    ``exp(-beta tau_n) / D(tau_n) / |C|`` summed over the group.
+    ``stage_reward`` and, per action, the importance weights ``kappa_a[g]`` of
+    its sample *groups*, each group having an [s, s'] slice of
+    ``P(s'|s,a) f(tau|s,a,s')``.
 
-    Samples with equal tau share one group: the density depends on a sample
-    only through tau, so the thousands of repeats that atom-valued sojourn
-    laws produce collapse exactly. The groups are then read off the
-    ``[tau, s, s']`` densities alone. At a time where every nonzero density
-    of action ``a`` takes one value ``level(tau)``, the slice is
-    ``level(tau) P_a`` masked to that support, so all such times with the
-    same support fold into one group with slice ``P_a`` on the support and
-    weight ``sum_g kappa_g level(tau_g)`` (groups ordered by their first
-    support cell). This covers every time at which one sojourn law is active.
-    It is exact: a backup takes, per group and observation, the argmax over
-    alpha vectors of a linear score, which positive scaling leaves unchanged,
-    and its contribution is linear in the slice. Every other time with a
-    nonzero density keeps its own group.
+    One rule forms the groups. The density depends on a sample only through
+    tau, so the bank's equal times come first, with summed factors
+    ``exp(-beta tau_n) / D(tau_n) / |C|``. Each such time's ``[s, s']``
+    density row under action ``a`` is then divided by its largest entry,
+    ``level(tau)``, and times whose scaled rows are equal share one group: its
+    slice is ``P_a`` times that row and its weight ``sum kappa level(tau)``
+    (groups in the order of their rows' bytes). This is exact: a backup takes,
+    per group and observation, the argmax over alpha vectors of a linear
+    score, which positive scaling leaves unchanged, and its contribution is
+    linear in the slice. Every time at which one sojourn law, or one value on
+    one support, is active thus folds into one group per support; other times
+    keep a group each. Times with no density under ``a`` are dropped.
 
-    The groups of all actions, concatenated, index ``k``. ``weights[k o, a]``
-    holds ``kappa_k`` where group ``k`` belongs to action ``a`` and 0 elsewhere,
-    so one product with it sums each action's terms. The cache also keeps the
-    back-projection of the last value function it was asked for (see
-    :meth:`projection`), which every backup against that value function reads.
+    The groups of all actions, concatenated, index ``k``. The cache stores the
+    back-projection operator ``back[k o s, s'] = M_k[s, s'] G_a(k)[o, s']``,
+    and ``weights[k o, a]``, which holds ``kappa_k`` where group ``k`` belongs
+    to action ``a`` and 0 elsewhere, so one product with it sums each action's
+    terms. It also keeps the back-projection of the last value function it was
+    asked for (see :meth:`projection`), which every backup against that value
+    function reads.
     """
 
     def __init__(self, model, bank: SampleBank):
@@ -197,54 +198,39 @@ class BackupCache:
         self.stage_reward = compute_stage_reward(model).values  # [s, a]
         density = mixture_density(bank, model, bank.times)
         kappa_all = np.exp(-model.beta * bank.times) / density / max(bank.n_samples, 1)
-        unique_taus, inverse = np.unique(bank.times, return_inverse=True)
-        kappa_grouped = np.zeros(unique_taus.size)
-        np.add.at(kappa_grouped, inverse, kappa_all)
-        self.trans_sojourn = []  # per action: [s, g, s']
-        self.kappa = []  # per action: [g]
+        taus, inverse = np.unique(bank.times, return_inverse=True)
+        kappa_tau = np.bincount(inverse, kappa_all, taus.size)
+        n_s = model.n_states
+        shapes, self.kappa = [], []  # per action: [g, s s'] scaled rows, [g] weights
         for a in range(model.n_actions):
-            transition = model.transition[:, a, :]
-            f_vals = model.sojourn_density_samples(a, unique_taus)  # [n, s, s']
-            flat = f_vals.reshape(unique_taus.size, transition.size)
-            level = flat.max(axis=1)
-            level_only = ((flat == level[:, None]) | (flat == 0)).all(axis=1)
-            fold = np.flatnonzero(level_only & (level > 0))
-            keep = np.flatnonzero(~level_only)
-            # Each time's off-support mask as one byte string: these sort with
-            # the earliest support cell first, and compare as whole strings
-            # where np.unique(axis=0) would compare them cell by cell.
-            off_support = flat[fold] == 0
-            _, first, which = np.unique(off_support.view(f"V{transition.size}").ravel(),
+            f_vals = model.sojourn_density_samples(a, taus).reshape(taus.size, n_s * n_s)
+            level = f_vals.max(axis=1)
+            live = level != 0  # not > 0: a NaN density must reach the backup and fail it
+            rows = f_vals[live] / level[live, None]
+            # Each row as one byte string, compared whole where np.unique(axis=0)
+            # would compare it cell by cell.
+            _, first, which = np.unique(rows.view(f"V{rows.itemsize * n_s * n_s}").ravel(),
                                         return_index=True, return_inverse=True)
-            slices = np.where(off_support[first], 0.0, transition.ravel()
-                              ).reshape(-1, *transition.shape)
-            weights = [kappa_grouped[fold[which == g]] @ level[fold[which == g]]
-                       for g in range(first.size)]
-            groups = np.concatenate([slices, transition[None] * f_vals[keep]])
-            self.trans_sojourn.append(np.ascontiguousarray(groups.transpose(1, 0, 2)))
-            self.kappa.append(np.concatenate([weights, kappa_grouped[keep]]))
-        # G as [o, s'] per action for mixing with alpha vectors.
-        self.obs = [model.observation_kernel[a].T.copy() for a in range(model.n_actions)]
-        # weights[k o, a]: kappa_k on the columns of action a's groups, else 0.
+            shapes.append(rows[first])
+            self.kappa.append(np.bincount(which, kappa_tau[live] * level[live], first.size))
         group_action = np.repeat(np.arange(model.n_actions), [k.size for k in self.kappa])
+        rows = np.concatenate(shapes).reshape(-1, n_s, n_s)
+        # Gathered from [a, ...] views, so both are C-contiguous and so is back.
+        slices = model.transition.transpose(1, 0, 2)[group_action] * rows  # [k, s, s']
+        obs = model.observation_kernel.transpose(0, 2, 1)[group_action]  # [k, o, s']
+        self.back = (slices[:, None] * obs[:, :, None]).reshape(-1, n_s)  # [k o s, s']
+        # weights[k o, a]: kappa_k on the columns of action a's groups, else 0.
         self.weights = np.repeat(np.concatenate(self.kappa)[:, None] * (
             group_action[:, None] == np.arange(model.n_actions)), model.n_observations, axis=0)
         self._projection = (None, None)
 
     def projection(self, vf: ValueFunction) -> np.ndarray:
-        """``proj[v, k o, s] = sum_s' M[s, k, s'] G_a(k)[o, s'] alpha_v[s']`` for ``vf``,
-        built once and kept in one slot keyed by ``vf`` itself (held, so its id
-        cannot pass to another value function)."""
+        """``proj[v, k o, s] = sum_s' back[k o s, s'] alpha_v[s']`` for ``vf``, one
+        C-contiguous product built once and kept in one slot keyed by ``vf``
+        itself (held, so its id cannot pass to another value function)."""
         if self._projection[0] is not vf:
-            alpha = vf.matrix  # [v, s']
-            blocks = []
-            for m_a, g_a in zip(self.trans_sojourn, self.obs):
-                n_states, n_g, _ = m_a.shape
-                mixed = (g_a[:, None, :] * alpha[None]).reshape(-1, n_states)  # [o v, s']
-                proj_a = m_a.reshape(-1, n_states) @ mixed.T  # [s g, o v]
-                blocks.append(proj_a.reshape(n_states, n_g, len(g_a), len(alpha)
-                                             ).transpose(3, 1, 2, 0))
-            proj = np.concatenate(blocks, axis=1).reshape(len(alpha), -1, alpha.shape[1])
+            n_states = self.back.shape[1]
+            proj = (vf.matrix @ self.back.T).reshape(len(vf), len(self.weights), n_states)
             self._projection = (vf, proj)
         return self._projection[1]
 
@@ -319,9 +305,13 @@ def backup(model, vf: ValueFunction, cache: BackupCache, belief):
     return AlphaVector(values[0], int(actions[0]))
 
 
-def _is_duplicate(values: np.ndarray, kept: np.ndarray) -> bool:
-    """Whether ``values`` lies within DUPLICATE_TOL of some row of [n, s] ``kept``."""
-    return bool((np.abs(kept - values).max(axis=1) <= DUPLICATE_TOL).any())
+def _distinct(vectors: np.ndarray) -> np.ndarray:
+    """Keep mask over the rows of [n, s] ``vectors``: a row is kept unless it lies
+    within DUPLICATE_TOL of an earlier kept row."""
+    keep = np.zeros(len(vectors), dtype=bool)
+    for i, vec in enumerate(vectors):
+        keep[i] = not (np.abs(vectors[:i][keep[:i]] - vec).max(axis=1) <= DUPLICATE_TOL).any()
+    return keep
 
 
 def perseus_update(model, vf: ValueFunction, cache: BackupCache,
@@ -335,8 +325,7 @@ def perseus_update(model, vf: ValueFunction, cache: BackupCache,
     belief_mat = cache.beliefs
     old_values = vf.values_at(belief_mat)
     remaining = np.arange(len(belief_mat))
-    new_vectors = []
-    kept = np.empty_like(belief_mat)  # each pick settles a belief: at most |B| vectors
+    picks = []
 
     while remaining.size:
         pick = remaining[rng.integers(remaining.size)]
@@ -349,10 +338,9 @@ def perseus_update(model, vf: ValueFunction, cache: BackupCache,
         # old vector), even if float summation order makes the sweep miss it.
         improved |= remaining == pick
         remaining = remaining[~improved]
-        if not _is_duplicate(alpha.values, kept[:len(new_vectors)]):
-            kept[len(new_vectors)] = alpha.values
-            new_vectors.append(alpha)
-    return ValueFunction(new_vectors)
+        picks.append(alpha)
+    keep = _distinct(np.stack([alpha.values for alpha in picks]))
+    return ValueFunction([alpha for alpha, kept in zip(picks, keep) if kept])
 
 
 @dataclass
@@ -390,9 +378,7 @@ def _bellman_sweep(model, vf: ValueFunction, cache: BackupCache, epsilon: float)
                                               old + epsilon - slack)
     improved = np.einsum("bs,bs->b", belief_mat[rows], values) > old[rows] + epsilon
     candidates, actions = values[improved], actions[rows[improved]]
-    keep = np.zeros(len(candidates), dtype=bool)
-    for i, vec in enumerate(candidates):
-        keep[i] = not _is_duplicate(vec, candidates[:i][keep[:i]])
+    keep = _distinct(candidates)
     return [AlphaVector(vec, int(a)) for vec, a in zip(candidates[keep], actions[keep])]
 
 

@@ -2,7 +2,10 @@
 
 ``bench/tracer.py`` wraps functions and methods by looking them up in their
 owner's ``__dict__``, so renaming or removing one of them breaks the traced
-benchmark run. This reads ``bench/`` and changes nothing there.
+benchmark run. Its hooks also read what the package returns (the cache's
+``kappa``, a backup's ``values``, a solve's ``trace``), so a traced collect
+and solve must still fill its counters. This reads ``bench/`` and changes
+nothing there.
 """
 
 import sys
@@ -34,3 +37,24 @@ def test_every_patch_resolves_and_is_restored(tracer_module):
         tracer.uninstall()
     for owner, attr, original in patches:
         assert owner.__dict__[attr] is original
+
+
+def test_hooks_read_a_traced_solve(tracer_module, maintenance_model):
+    from posmdp import sampler, solver
+
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        with tracer.root("run"):
+            bank = sampler.collect(maintenance_model, 60, 0)
+            # The sample-based initial bound does not apply to this bank.
+            solver.solve(maintenance_model, bank, v0=solver.conservative_value_function(
+                maintenance_model), seed=0)
+    finally:
+        tracer.uninstall()
+    assert tracer.cache_groups == [4]
+    assert tracer.collected == 60
+    assert len(tracer.unaccounted) == 1
+    summary = tracer.summary()
+    assert summary["solver.backup"]["calls"] > 0
+    assert summary["solver.perseus_update"]["calls"] > 0

@@ -30,6 +30,14 @@ class TestValidate:
         assert main(["validate", "missing.json"]) == EXIT_ERROR
         assert "missing.json" in capsys.readouterr().err
 
+    def test_numeric_file_name_is_a_path(self, bus_model, tmp_path, monkeypatch, capsys):
+        # "5" parses as JSON, but a command-line model argument is a file name.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "5").write_text(json.dumps(model_to_dict(bus_model)))
+        assert main(["validate", "5"]) == EXIT_OK
+        assert main(["validate", "7"]) == EXIT_ERROR
+        assert "file not found: 7" in capsys.readouterr().err
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"version": 1}')

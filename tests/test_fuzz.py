@@ -6,6 +6,7 @@ model, validate) or end in ``ModelFormatError``/``PolicyMismatchError``; any
 other exception would reach the command line as a traceback.
 """
 
+import io
 import json
 
 import numpy as np
@@ -62,7 +63,7 @@ def mutants(draw, text):
 def test_mutated_model_loads_or_is_format_error(name, data):
     doc = data.draw(mutants(MODEL_TEXTS[name]))
     try:
-        model = load_model(json.dumps(doc))
+        model = load_model(io.StringIO(json.dumps(doc)))
     except ModelFormatError:
         return
     assert posmdp.validate(model).ok

@@ -1,6 +1,7 @@
 """Model construction, validation, stage rewards, and file round-trips."""
 
 import dataclasses
+import io
 import json
 import math
 
@@ -352,6 +353,12 @@ MALFORMED = {
     "mixed_observable_without_hidden_labels": lambda doc: doc["mixed_observable"].pop(
         "hidden_labels"),
     "state_coords_is_number": lambda doc: doc["mixed_observable"].update(state_coords=5),
+    "state_coords_pair_out_of_range": lambda doc: doc["mixed_observable"][
+        "state_coords"].__setitem__(0, [9, 9]),
+    "state_coords_repeated_pair": lambda doc: doc["mixed_observable"]["state_coords"].__setitem__(
+        1, [0, 0]),
+    "state_coords_too_few": lambda doc: doc["mixed_observable"].update(
+        state_coords=doc["mixed_observable"]["state_coords"][:5]),
     "beta_kernel_record_without_phi": lambda doc: doc.update(
         observation_kernel={"beta": [{"s_next": 0, "eta": 18}]}),
     "beta_kernel_s_next_negative": lambda doc: _beta_kernel(doc, "s_next", 15, -4),
@@ -367,7 +374,7 @@ class TestMalformedDocuments:
         doc = model_to_dict(bus_model)
         MALFORMED[mutation](doc)
         with pytest.raises(ModelFormatError):
-            load_model(json.dumps(doc))
+            load_model(io.StringIO(json.dumps(doc)))
 
 
 @pytest.mark.parametrize("key, count", [("s_next", 15), ("a", 2)])
@@ -375,7 +382,7 @@ def test_beta_kernel_cover_loads(key, count, bus_model):
     # The malformed beta-kernel cases differ from this document by their extra record.
     doc = model_to_dict(bus_model)
     _beta_kernel(doc, key, count, 0)
-    load_model(json.dumps(doc))
+    load_model(io.StringIO(json.dumps(doc)))
 
 
 class TestSerialization:
@@ -406,7 +413,7 @@ class TestSerialization:
 
     def test_load_from_json_string(self, bus_model):
         text = json.dumps(model_to_dict(bus_model))
-        loaded = load_model(text)
+        loaded = load_model(io.StringIO(text))
         assert model_hash(loaded) == model_hash(bus_model)
 
     def test_unknown_top_level_key(self, bus_model):
@@ -430,11 +437,11 @@ class TestSerialization:
     @pytest.mark.parametrize("text", ["5", " null", '"bus.json"'])
     def test_json_scalar_is_a_format_error(self, text):
         with pytest.raises(ModelFormatError, match="JSON object"):
-            load_model(text)
+            load_model(io.StringIO(text))
 
     def test_invalid_json(self):
         with pytest.raises(ModelFormatError, match="invalid JSON"):
-            load_model("{not json")
+            load_model(io.StringIO("{not json"))
 
     def test_observation_bins_shorthand(self, maintenance_model):
         doc = model_to_dict(maintenance_model)
@@ -462,7 +469,7 @@ class TestSerialization:
         doc = model_to_dict(bus_model)
         doc["initial_belief"] = [0.0] * 15
         with pytest.raises(ModelFormatError, match="validation"):
-            load_model(json.dumps(doc))
+            load_model(io.StringIO(json.dumps(doc)))
 
 
 class TestAdmissibility:

@@ -13,7 +13,7 @@ from oracles import _density, alpha_given_a_tau_o, brute_force_backup
 
 import posmdp
 from posmdp.model import ModelFormatError
-from posmdp.sampler import SampleBank, collect
+from posmdp.sampler import SampleBank, collect, mixture_density
 from posmdp.solver import (
     SCREEN_SLACK,
     AlphaVector,
@@ -277,13 +277,58 @@ class TestSampleGroupMerge:
     def test_bank_without_samples_has_no_groups(self, bus_model):
         cache = BackupCache(bus_model, collect(bus_model, 1, seed=0))
         assert [k.size for k in cache.kappa] == [0, 0]
-        assert [m.shape for m in cache.trans_sojourn] == [(15, 0, 15)] * 2
+        assert cache.back.shape == (0, 15)
 
     def test_bus_is_not_merged(self, bus_model):
         # Bus rides have five inverse-Gaussian laws active at every time.
         bank = collect(bus_model, 300, seed=0)
         cache = BackupCache(bus_model, bank)
         assert [k.size for k in cache.kappa] == unmerged_group_counts(bus_model, bank)
+
+
+class TestProjectionOperator:
+    @pytest.mark.parametrize("name", ["maintenance", "bus", "three_supports"])
+    def test_groups_sum_to_the_unmerged_samples(self, name, maintenance_model, bus_model):
+        # Per action, the kappa-weighted projections of the merged groups equal
+        # the same sum over every sample with its own slice P_a * f(tau_n).
+        model = {"maintenance": maintenance_model, "bus": bus_model,
+                 "three_supports": make_shared_law_model((
+                     lambda s, s2: (ATOM, posmdp.DeterministicAtom(5.0), CONTINUOUS)[s2],
+                     lambda s, s2: CONTINUOUS))}[name]
+        bank = collect(model, 200, seed=3)
+        cache = BackupCache(model, bank)
+        rng = np.random.default_rng(4)
+        # Positive vectors keep every sum free of cancellation, so rtol applies.
+        vf = ValueFunction([AlphaVector(rng.uniform(1.0, 10.0, size=model.n_states), 0)
+                            for _ in range(3)])
+        proj = cache.projection(vf)
+        assert proj.flags.c_contiguous
+        assert np.shares_memory(proj.reshape(-1, model.n_states), proj)
+        kappa = (np.exp(-model.beta * bank.times) / mixture_density(bank, model, bank.times)
+                 / bank.n_samples)
+        groups = proj.reshape(len(vf), -1, model.n_observations, model.n_states)
+        starts = np.cumsum([0] + [k.size for k in cache.kappa])
+        for a, weights in enumerate(cache.kappa):
+            got = np.einsum("k,vkos->vos", weights, groups[:, starts[a]:starts[a + 1]])
+            slices = model.transition[:, a] * model.sojourn_density_samples(a, bank.times)
+            expected = np.einsum("n,nst,to,vt->vos", kappa, slices,
+                                 model.observation_kernel[a], vf.matrix)
+            np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_nan_density_reaches_the_projection(self, bus_model, monkeypatch):
+        # A NaN density row has a NaN largest entry; it must not be dropped
+        # with the times that have no density.
+        bank = collect(bus_model, 50, seed=0)
+        density = type(bus_model).sojourn_density_samples
+
+        def poisoned(model, a, taus):
+            out = density(model, a, taus)
+            out[np.asarray(taus) == bank.times[0]] = math.nan
+            return out
+
+        monkeypatch.setattr(type(bus_model), "sojourn_density_samples", poisoned)
+        cache = BackupCache(bus_model, bank)
+        assert np.isnan(cache.projection(constant_value_function(bus_model, 1.0))).any()
 
 
 def loop_sweep(model, vf, bank, cache, epsilon):
