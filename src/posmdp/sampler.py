@@ -3,9 +3,11 @@
 One collection pass produces the frozen inputs to value iteration: a belief
 set ``B`` grown by simulating random transitions from already-collected
 beliefs, the sojourn-time samples ``C`` observed along the way, and mixture
-weights ``w(s, a, s')`` recording which transition produced each time. The
-mixture density ``D`` built from those weights is the proposal shared by
-every transition in the importance-sampled backup.
+weights ``w(s, a, s')`` recording which transition produced each time. ``B``
+grows in generations, and is still Perseus's random exploration from ``xi_0``
+(Spaan & Vlassis, JAIR 2005): the order in which its tree grows is not part
+of the method. The mixture density ``D`` built from those weights is the
+proposal shared by every transition in the importance-sampled backup.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .belief import condition, predict_with_time
-from .distributions import atom_mask, draw_index, mixed_density
+from .distributions import atom_mask, mixed_density
 # Kept as names of this module: bench/tracer.py wraps the filter here.
 from .belief import observation_time_likelihood, update_with_time  # noqa: F401
 
@@ -26,7 +28,7 @@ __all__ = ["SampleBank", "collect", "mixture_density", "importance_ratio",
 
 @dataclass(frozen=True)
 class SampleBank:
-    beliefs: tuple  # tuple of 1-D arrays; the multiset B (duplicates kept)
+    beliefs: np.ndarray  # [b, s]; the multiset B (duplicates kept)
     times: np.ndarray  # sojourn-time samples C, in collection order
     origins: np.ndarray  # [len(C), 3] int (s, a, s') per sample
     weights: np.ndarray  # [s, a, s'] empirical origin distribution
@@ -36,57 +38,53 @@ class SampleBank:
     def n_samples(self) -> int:
         return len(self.times)
 
-    def belief_matrix(self) -> np.ndarray:
-        return np.stack(self.beliefs)
-
     def with_extra_beliefs(self, extra) -> "SampleBank":
-        """Bank with additional belief points appended to B (C, w unchanged)."""
-        extra = tuple(np.asarray(b, dtype=float) for b in extra)
-        return replace(self, beliefs=self.beliefs + extra)
+        """Bank with additional belief rows appended to B (C, w unchanged)."""
+        return replace(self, beliefs=np.vstack([self.beliefs, *extra]))
+
+
+def _draw_rows(cumulative, u):
+    """Per row of ``cumulative`` probabilities, the index that uniform ``u`` selects."""
+    return np.minimum((cumulative < u[:, None]).sum(axis=1), cumulative.shape[1] - 1)
 
 
 def collect(model, n: int, seed: int) -> SampleBank:
     """Grow a belief set of size ``n`` by random exploration from xi_0.
 
-    Each step picks a collected belief uniformly, simulates one transition
-    (state from the belief, action uniform among admissible, successor from
-    P, sojourn time from its law), records the time and its origin, draws an
-    observation from the exact predictive distribution, and adds the updated
-    belief to the set.
+    Each generation picks ``m = min(|B|, n - |B|)`` beliefs uniformly from B
+    as it stood when the generation began, and draws for all of them at once,
+    in order: picks, states, actions uniform among the admissible, successors,
+    times (``sample(rng, count)`` per distinct ``(s, a, s')``, sorted) and one
+    uniform per pick for its observation. Each action's rows are filtered as
+    one block; results are appended in pick order.
     """
     if n < 1:
         raise ValueError(f"belief count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    beliefs = [np.array(model.initial_belief, dtype=float)]
-    times = []
-    origins = []
-    counts = np.zeros((model.n_states, model.n_actions, model.n_states))
-    admissible = [np.flatnonzero(row) for row in model.admissible]
-
-    while len(beliefs) < n:
-        xi = beliefs[rng.integers(len(beliefs))]
-        s = draw_index(np.cumsum(xi), rng)
-        choices = admissible[s]
-        a = int(choices[rng.integers(choices.size)])
-        s2 = draw_index(model.transition_cdf[s, a], rng)
-        tau = float(model.sojourn[(s, a, s2)].sample(rng))
-        times.append(tau)
-        origins.append((s, a, s2))
-        counts[s, a, s2] += 1
-        predicted = predict_with_time(model, xi, a, tau)
-        masses = model.observation_kernel[a].T @ predicted
-        o = draw_index(np.cumsum(masses / float(masses.sum())), rng)
-        beliefs.append(condition(model, predicted, a, o, tau))
-
-    total = counts.sum()
-    weights = counts / total if total > 0 else counts
-    return SampleBank(
-        beliefs=tuple(beliefs),
-        times=np.asarray(times, dtype=float),
-        origins=np.asarray(origins, dtype=int).reshape(len(times), 3),
-        weights=weights,
-        seed=seed,
-    )
+    beliefs = np.tile(model.initial_belief, (n, 1))
+    times, origins = np.empty(n - 1), np.empty((n - 1, 3), dtype=int)
+    for size in 2 ** np.arange(int(n - 1).bit_length()):  # |B| = 1, 2, 4, ...
+        m = min(size, n - size)
+        xi = beliefs[rng.integers(size, size=m)]
+        s = _draw_rows(np.cumsum(xi, axis=1), rng.random(m))
+        adm = model.admissible[s]  # the action is the k-th admissible one, k uniform
+        a = (np.cumsum(adm, axis=1) <= rng.integers(adm.sum(axis=1))[:, None]).sum(axis=1)
+        s2 = _draw_rows(model.transition_cdf[s, a], rng.random(m))
+        origins[size - 1:size - 1 + m] = key = np.stack([s, a, s2], axis=1)
+        laws, which, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+        tau = times[size - 1:size - 1 + m]  # a view: the draws land in times
+        tau[np.argsort(which.ravel(), kind="stable")] = np.concatenate(
+            [model.sojourn[tuple(law)].sample(rng, c) for law, c in zip(laws.tolist(), counts)])
+        u = rng.random(m)
+        for act in np.unique(a):
+            rows = np.flatnonzero(a == act)
+            predicted = predict_with_time(model, xi[rows], act, tau[rows])
+            masses = predicted @ model.observation_kernel[act]
+            o = _draw_rows(np.cumsum(masses / masses.sum(axis=1, keepdims=True), axis=1), u[rows])
+            beliefs[size + rows] = condition(model, predicted, act, o, tau[rows])
+    counts = np.zeros(model.transition.shape)
+    np.add.at(counts, tuple(origins.T), 1)
+    return SampleBank(beliefs, times, origins, counts / max(n - 1, 1), seed)
 
 
 def mixture_density(bank: SampleBank, model, tau):
@@ -117,7 +115,7 @@ def importance_ratio(bank: SampleBank, model, tau, beta: float):
 def bank_to_dict(bank: SampleBank) -> dict:
     return {
         "seed": bank.seed,
-        "beliefs": [b.tolist() for b in bank.beliefs],
+        "beliefs": bank.beliefs.tolist(),
         "times": bank.times.tolist(),
         "origins": bank.origins.tolist(),
         "weights": bank.weights.tolist(),
@@ -126,7 +124,7 @@ def bank_to_dict(bank: SampleBank) -> dict:
 
 def bank_from_dict(doc: dict) -> SampleBank:
     return SampleBank(
-        beliefs=tuple(np.asarray(b, dtype=float) for b in doc["beliefs"]),
+        beliefs=np.asarray(doc["beliefs"], dtype=float),
         times=np.asarray(doc["times"], dtype=float),
         origins=np.asarray(doc["origins"], dtype=int).reshape(len(doc["times"]), 3),
         weights=np.asarray(doc["weights"], dtype=float),

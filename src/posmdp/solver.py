@@ -194,7 +194,7 @@ class BackupCache:
     """
 
     def __init__(self, model, bank: SampleBank):
-        self.beliefs = bank.belief_matrix()  # [b, s]
+        self.beliefs = bank.beliefs  # [b, s]
         self.stage_reward = compute_stage_reward(model).values  # [s, a]
         density = mixture_density(bank, model, bank.times)
         kappa_all = np.exp(-model.beta * bank.times) / density / max(bank.n_samples, 1)
@@ -274,6 +274,8 @@ def _backup_stages(model, vf: ValueFunction, beliefs: np.ndarray, cache: BackupC
         q[inadmissible[lo:lo + chunk]] = -np.inf
         action[lo:lo + chunk] = best = q.argmax(axis=1)  # ties go to the lowest action
         value[lo:lo + chunk] = q[np.arange(len(xi)), best]
+        if (nan := np.isnan(value[lo:lo + chunk])).any():
+            raise ValueError(f"the backup value of belief row {lo + nan.argmax()} is NaN")
         need = np.flatnonzero(value[lo:lo + chunk] > floor[lo:lo + chunk])
         gathered = proj[scores[need].argmax(axis=1), np.arange(n_ko)]  # [r, k o, s]
         chosen = best[need]

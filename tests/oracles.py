@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from posmdp.belief import update_with_time
+from posmdp.belief import observation_time_likelihood, update_with_time
 
 
 def brute_force_backup(model, vf, bank, belief):
@@ -179,3 +179,46 @@ def sequential_episodes(model, value_function, episodes, epochs, seed):
             s = s2
         out.append((entries, total))
     return out
+
+
+def _sample_index(u, probabilities):
+    idx = int(np.searchsorted(np.cumsum(probabilities), u))
+    return min(idx, len(probabilities) - 1)
+
+
+def generation_collect(model, n, seed):
+    """Generation-wise collection, one belief at a time within a generation.
+
+    Each generation takes ``min(|B|, n - |B|)`` picks from the set as it stood
+    when the generation began, with the package's draw order: the picks, one
+    uniform per pick for its state, one ``integers`` call ranking its action
+    among the admissible ones, one uniform per pick for its successor, one
+    ``sample(rng, count)`` per distinct (s, a, s') in sorted order, then one
+    uniform per pick for its observation. Each belief is then filtered on its
+    own with the public one-row functions: the likelihood picks the
+    observation, then the full time-aware update runs. Returns the beliefs and
+    the (s, a, s') origins, in order.
+    """
+    rng = np.random.default_rng(seed)
+    beliefs = [np.array(model.initial_belief, dtype=float)]
+    origins = []
+    while len(beliefs) < n:
+        m = min(len(beliefs), n - len(beliefs))
+        picks = [beliefs[i] for i in rng.integers(len(beliefs), size=m)]
+        states = [_sample_index(u, xi) for u, xi in zip(rng.random(m), picks)]
+        admissible = [np.flatnonzero(model.admissible[s]) for s in states]
+        ranks = rng.integers([choices.size for choices in admissible])
+        actions = [int(choices[k]) for choices, k in zip(admissible, ranks)]
+        keys = [(s, a, _sample_index(u, model.transition[s, a]))
+                for s, a, u in zip(states, actions, rng.random(m))]
+        taus = [0.0] * m
+        for key in sorted(set(keys)):
+            rows = [i for i, k in enumerate(keys) if k == key]
+            for i, tau in zip(rows, model.sojourn[key].sample(rng, len(rows))):
+                taus[i] = float(tau)
+        for xi, (_, a, _), tau, u in zip(picks, keys, taus, rng.random(m)):
+            masses, total = observation_time_likelihood(model, xi, a, tau)
+            o = _sample_index(u, masses / total)
+            beliefs.append(update_with_time(model, xi, a, tau, o))
+        origins.extend(keys)
+    return beliefs, origins

@@ -1,11 +1,13 @@
 """Sample-collection and importance-sampling proposal checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import oracles
+from scipy import stats
 
 import posmdp
-from posmdp.belief import observation_time_likelihood, update_with_time
 from posmdp.sampler import (
     SampleBank,
     bank_from_dict,
@@ -16,31 +18,6 @@ from posmdp.sampler import (
     mixture_density,
     save_bank,
 )
-
-
-def _sample_index(rng, probabilities):
-    idx = int(np.searchsorted(np.cumsum(probabilities), rng.random()))
-    return min(idx, len(probabilities) - 1)
-
-
-def reference_collect(model, n, seed):
-    """Collection loop written with the public filter functions: the
-    likelihood picks the observation, then the full time-aware update runs."""
-    rng = np.random.default_rng(seed)
-    beliefs = [np.array(model.initial_belief, dtype=float)]
-    origins = []
-    while len(beliefs) < n:
-        xi = beliefs[rng.integers(len(beliefs))]
-        s = _sample_index(rng, xi)
-        admissible = np.flatnonzero(model.admissible[s])
-        a = int(admissible[rng.integers(admissible.size)])
-        s2 = _sample_index(rng, model.transition[s, a])
-        tau = float(model.sojourn[(s, a, s2)].sample(rng))
-        origins.append((s, a, s2))
-        masses, total = observation_time_likelihood(model, xi, a, tau)
-        o = _sample_index(rng, masses / total)
-        beliefs.append(update_with_time(model, xi, a, tau, o))
-    return beliefs, origins
 
 
 class TestCollect:
@@ -87,22 +64,72 @@ class TestCollect:
     def test_matches_reference_filter(self, name, maintenance_model, bus_model):
         model = maintenance_model if name == "maintenance" else bus_model
         bank = collect(model, 150, seed=13)
-        ref_beliefs, ref_origins = reference_collect(model, 150, 13)
+        ref_beliefs, ref_origins = oracles.generation_collect(model, 150, 13)
         assert [tuple(o) for o in bank.origins] == ref_origins
         for got, want in zip(bank.beliefs, ref_beliefs):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_one_density_evaluation_per_step(self, maintenance_model, monkeypatch):
-        calls = []
-        original = posmdp.PosmdpModel.sojourn_density_matrix
+        # Every step's density is evaluated once, inside one block evaluation
+        # per action per generation; the one-row matrix path is not used.
+        calls, matrix_calls = [], []
+        model_type = posmdp.PosmdpModel
+        samples = model_type.sojourn_density_samples
 
-        def counted(self, a, tau):
-            calls.append((a, tau))
-            return original(self, a, tau)
+        def counted(self, a, taus):
+            calls.append((int(a), len(taus)))
+            return samples(self, a, taus)
 
-        monkeypatch.setattr(posmdp.PosmdpModel, "sojourn_density_matrix", counted)
+        monkeypatch.setattr(model_type, "sojourn_density_samples", counted)
+        monkeypatch.setattr(model_type, "sojourn_density_matrix",
+                            lambda self, a, tau: matrix_calls.append(a))
         collect(maintenance_model, 40, seed=0)
-        assert len(calls) == 39
+        assert matrix_calls == []
+        # The calls follow the generations in order; |B| goes 1, 2, 4, 8, 16,
+        # 32, 40, and each generation evaluates at most one block per action.
+        for m in [1, 2, 4, 8, 16, 8]:
+            block = []
+            while sum(size for _, size in block) < m:
+                block.append(calls.pop(0))
+            assert sum(size for _, size in block) == m
+            assert len({a for a, _ in block}) == len(block)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 700])
+    def test_exact_sizes(self, maintenance_model, n):
+        bank = collect(maintenance_model, n, seed=1)
+        assert bank.beliefs.shape == (n, maintenance_model.n_states)
+        assert bank.times.shape == (n - 1,)
+        assert bank.origins.shape == (n - 1, 3)
+
+    def test_actions_uniform_among_admissible(self, random_model_factory):
+        model = random_model_factory(np.random.default_rng(8), n_states=3, n_actions=3)
+        admissible = np.ones((3, 3), dtype=bool)
+        admissible[0, 1] = admissible[2, 0] = False
+        model = dataclasses.replace(model, admissible=admissible)
+        bank = collect(model, 6001, seed=5)
+        s, a = bank.origins[:, 0], bank.origins[:, 1]
+        assert model.admissible[s, a].all()
+        for state in range(3):
+            choices = np.flatnonzero(admissible[state])
+            counts = np.bincount(a[s == state], minlength=3)[choices]
+            assert counts.sum() > 500
+            assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_times_follow_their_origin_laws(self, maintenance_model):
+        bank = collect(maintenance_model, 5000, seed=6)
+        laws, which = np.unique(bank.origins, axis=0, return_inverse=True)
+        tested = 0
+        for j, law in enumerate(laws):
+            times = bank.times[which.ravel() == j]
+            if times.size >= 200:
+                dist = maintenance_model.sojourn[tuple(int(x) for x in law)]
+                if dist.atom is not None:
+                    assert (times == dist.atom).all()
+                else:
+                    assert stats.kstest(times, dist.cdf).pvalue > 1e-3
+                    tested += 1
+        assert tested >= 2
 
     def test_invalid_count(self, maintenance_model):
         with pytest.raises(ValueError):
