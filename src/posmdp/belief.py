@@ -58,10 +58,8 @@ def predict_with_time(model, belief, action: int, tau) -> np.ndarray:
     [n, s'] rows.
     """
     transition = model.transition[:, action, :]
-    if np.ndim(belief) == 1:
-        return belief @ (transition * model.sojourn_density_matrix(action, tau))
-    f = model.sojourn_density_samples(action, tau)  # [n, s, s']
-    return (belief[:, None, :] @ (transition * f))[:, 0, :]
+    f = model.sojourn_density_samples(action, tau).reshape(np.shape(tau) + transition.shape)
+    return (belief[..., None, :] @ (transition * f))[..., 0, :]
 
 
 def condition(model, predicted, action: int, observation, tau=None) -> np.ndarray:

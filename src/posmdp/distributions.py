@@ -13,6 +13,8 @@ Each family's density formula is one module-level function of the time and
 the law's parameters. A law's ``pdf`` calls it with scalar parameters; a
 :class:`SojournFamily` calls it with parameter arrays over many ``[s, s']``
 cells, so a model evaluates all laws of one family in one numpy expression.
+So too each family's ``time`` map from two uniforms on [0, 1) to a time,
+which serves a law's ``sample`` and the rollouts' draw budgets alike.
 
 All distribution objects are immutable and hashable. Samplers take an
 explicit ``numpy.random.Generator`` so callers own the random state.
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 __all__ = [
     "InverseGaussian",
@@ -34,7 +36,7 @@ __all__ = [
     "SojournDistribution",
     "SojournFamily",
     "atom_mask",
-    "draw_index",
+    "draw_rows",
     "mixed_density",
 ]
 
@@ -62,8 +64,26 @@ def _truncated_gaussian_density(tau, mu, sigma, mass):
     return np.where(tau > 0, np.exp(-0.5 * z * z) / (_SQRT_2PI * sigma * mass), 0.0)
 
 
+def _inverse_gaussian_time(u1, u2, mu, lam):
+    # |nu| is the half-normal quantile of u1, finite at every u1 in [0, 1).
+    mnu = -mu * ndtri(0.5 * (1.0 - u1))
+    x = 4.0 * lam * mu * mu / (mnu + np.sqrt(4.0 * mu * lam + mnu * mnu)) ** 2
+    return np.where(u2 <= mu / (mu + x), x, mu * mu / x)
+
+
+def _atom_time(u1, u2, c0):
+    return np.full(np.shape(u1), c0)
+
+
+def _truncated_gaussian_time(u1, u2, mu, sigma, mass):
+    # In log space no probability underflows. u1 = 0 would give an endpoint of
+    # the support, and rounding near tau = 0 may give tau <= 0: both kept out.
+    log_p = np.log1p(-np.maximum(u1, 2.0**-53)) + log_ndtr(mu / sigma)
+    return np.maximum(mu - sigma * ndtri_exp(log_p), np.finfo(float).tiny)
+
+
 class _SojournLaw:
-    """A law's ``pdf`` is its family's ``density`` formula at its ``params``."""
+    """A law's ``pdf`` and ``sample`` are its family's ``density`` and ``time``."""
 
     atom = None  # a continuous law; DeterministicAtom overrides it
 
@@ -71,18 +91,26 @@ class _SojournLaw:
         out = self.density(np.asarray(tau, dtype=float), *self.params)
         return out if out.ndim else float(out)
 
+    def sample(self, rng: np.random.Generator, size=None):
+        out = self.time(rng.random(size), rng.random(size), *self.params)
+        return out if np.ndim(out) else float(out)
+
 
 @dataclass(frozen=True)
 class InverseGaussian(_SojournLaw):
     """Inverse Gaussian (Wald) law with mean ``mu`` and shape ``lam``.
 
-    The variance is ``mu**3 / lam``.
+    The variance is ``mu**3 / lam``. The time map is exact (Michael, Schucany
+    & Haas 1976): ``nu**2 = lam (X - mu)**2 / (mu**2 X)`` is chi-square(1), and
+    of its roots ``x <= mu**2 / x``, taking ``x`` with probability ``mu / (mu +
+    x)`` gives the law; ``x`` is written without cancellation.
     """
 
     mu: float
     lam: float
 
     density = staticmethod(_inverse_gaussian_density)
+    time = staticmethod(_inverse_gaussian_time)
 
     def __post_init__(self):
         if not (self.mu > 0 and math.isfinite(self.mu)):
@@ -107,19 +135,6 @@ class InverseGaussian(_SojournLaw):
         out = np.clip(out, 0.0, 1.0)
         return out if out.ndim else float(out)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        # Transform-with-rejection sampler (Michael, Schucany & Haas 1976).
-        nu = rng.standard_normal(size)
-        y = nu * nu
-        x = (
-            self.mu
-            + self.mu**2 * y / (2.0 * self.lam)
-            - self.mu / (2.0 * self.lam) * np.sqrt(4.0 * self.mu * self.lam * y + self.mu**2 * y**2)
-        )
-        u = rng.random(size)
-        out = np.where(u <= self.mu / (self.mu + x), x, self.mu**2 / x)
-        return out if np.ndim(out) else float(out)
-
     def expected_discount(self, beta: float) -> float:
         """Laplace transform E[exp(-beta * tau)], in closed form."""
         if beta < 0:
@@ -134,11 +149,12 @@ class InverseGaussian(_SojournLaw):
 
 @dataclass(frozen=True)
 class DeterministicAtom(_SojournLaw):
-    """Unit point mass at the fixed sojourn time ``c0``."""
+    """Unit point mass at the fixed sojourn time ``c0`` (its map ignores ``u``)."""
 
     c0: float
 
     density = staticmethod(_atom_density)
+    time = staticmethod(_atom_time)
 
     def __post_init__(self):
         if not (self.c0 > 0 and math.isfinite(self.c0)):
@@ -151,11 +167,6 @@ class DeterministicAtom(_SojournLaw):
     def cdf(self, tau):
         out = (np.asarray(tau, dtype=float) >= self.c0).astype(float)
         return out if out.ndim else float(out)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self.c0
-        return np.full(size, self.c0)
 
     def expected_discount(self, beta: float) -> float:
         if beta < 0:
@@ -172,18 +183,26 @@ class DeterministicAtom(_SojournLaw):
 
 @dataclass(frozen=True)
 class TruncatedGaussian(_SojournLaw):
-    """Gaussian with mean ``mu`` and std ``sigma`` truncated to (0, inf)."""
+    """Gaussian with mean ``mu`` and std ``sigma`` truncated to (0, inf).
+
+    The time map is the inverse cdf, exact: ``tau = mu - sigma Phi^-1((1 - u1)
+    Phi(mu / sigma))`` has survival ``1 - u1``, and stays accurate when ``mu /
+    sigma`` is very negative. ``u2`` goes unused.
+    """
 
     mu: float
     sigma: float
 
     density = staticmethod(_truncated_gaussian_density)
+    time = staticmethod(_truncated_gaussian_time)
 
     def __post_init__(self):
         if not math.isfinite(self.mu):
             raise ValueError(f"truncated Gaussian mean must be finite, got {self.mu}")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError(f"truncated Gaussian std must be positive, got {self.sigma}")
+        if self._mass == 0.0:
+            raise ValueError(f"truncated Gaussian ({self.mu}, {self.sigma}) has no mass above 0")
 
     @property
     def _mass(self) -> float:
@@ -195,27 +214,11 @@ class TruncatedGaussian(_SojournLaw):
         return (self.mu, self.sigma, self._mass)
 
     def cdf(self, tau):
+        # One minus the survival ratio: no difference of two Phi values.
         tau = np.asarray(tau, dtype=float)
-        lower = ndtr(-self.mu / self.sigma)
-        out = np.where(tau > 0, (ndtr((tau - self.mu) / self.sigma) - lower) / self._mass, 0.0)
+        out = np.where(tau > 0, 1.0 - ndtr((self.mu - tau) / self.sigma) / self._mass, 0.0)
         out = np.clip(out, 0.0, 1.0)
         return out if out.ndim else float(out)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        # Rejection from the untruncated Gaussian; acceptance is ~1 whenever
-        # the lower bound sits several sigmas below the mean.
-        scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            draw = rng.normal(self.mu, self.sigma, size=n - filled)
-            ok = draw[draw > 0]
-            out[filled : filled + ok.size] = ok
-            filled += ok.size
-        if scalar:
-            return float(out[0])
-        return out.reshape(size)
 
     def expected_discount(self, beta: float) -> float:
         """Laplace transform E[exp(-beta * tau)], in closed form.
@@ -264,10 +267,7 @@ class SojournFamily:
 
 
 def atom_mask(tau, atom_values):
-    """Whether ``tau`` is an atom location of the model: a bool for a number
-    ``tau``, else a bool array shaped like the array ``tau``."""
-    if not isinstance(tau, np.ndarray):
-        return float(tau) in atom_values
+    """Whether ``tau`` is an atom location of the model, shaped like ``tau``."""
     return np.isin(tau, np.fromiter(atom_values, dtype=float))
 
 
@@ -283,17 +283,15 @@ def mixed_density(dist, tau, atom_values=(), at_atom=None):
     """
     if dist.atom is not None:
         return dist.pdf(tau)
-    out = np.asarray(dist.pdf(tau), dtype=float)
     if at_atom is None:
         at_atom = atom_mask(tau, atom_values)
-    if at_atom is not False:  # a number off the atoms needs no masking
-        out = np.where(at_atom, 0.0, out)
+    out = np.where(at_atom, 0.0, dist.pdf(tau))
     return out if out.ndim else float(out)
 
 
-def draw_index(cumulative, rng: np.random.Generator) -> int:
-    """Index drawn from the cumulative probabilities ``cumulative``."""
-    return min(int(np.searchsorted(cumulative, rng.random())), len(cumulative) - 1)
+def draw_rows(cumulative, u):
+    """Per row of ``cumulative`` probabilities, the first index above uniform ``u``."""
+    return np.minimum((cumulative <= u[:, None]).sum(axis=1), cumulative.shape[-1] - 1)
 
 
 @dataclass(frozen=True)

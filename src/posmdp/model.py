@@ -76,9 +76,10 @@ class PosmdpModel:
     :class:`~posmdp.distributions.SojournFamily` per distribution family (in
     order of first appearance), with the ``[s, s']`` cells of each law and
     their parameters as arrays; the density methods evaluate one numpy
-    expression per family. ``transition_cdf`` and
-    ``observation_cdf`` are the cumulative rows of ``transition`` (over s') and
-    ``observation_kernel`` (over o) that sampling draws from.
+    expression per family. The law of ``(s, a, s')`` is cell ``c`` of the
+    ``k``-th family overall, ``(k, c) = sojourn_cell[:, s, a, s']`` (-1: none).
+    ``transition_cdf`` and ``observation_cdf`` are the cumulative rows of
+    ``transition`` (over s') and ``observation_kernel`` (over o).
     """
 
     states: tuple
@@ -119,11 +120,14 @@ class PosmdpModel:
             if not (0 <= s < n_s and 0 <= a < n_a and 0 <= s2 < n_s):
                 raise ValueError(f"sojourn key (s={s}, a={a}, s'={s2}) is out of range")
             families[a].setdefault(type(dist), []).append((s, s2, *dist.params))
-        for by_kind in families:
-            for kind, members in by_kind.items():
+        cell = np.full((2, n_s, n_a, n_s), -1)
+        for a, by_kind in enumerate(families):
+            for k, (kind, members) in enumerate(by_kind.items(), sum(map(len, families[:a]))):
                 rows, cols, *params = zip(*members)
+                cell[0, rows, a, cols], cell[1, rows, a, cols] = k, np.arange(len(rows))
                 by_kind[kind] = SojournFamily(kind, (np.array(rows), np.array(cols)),
                                               tuple(np.array(p, dtype=float) for p in params))
+        object.__setattr__(self, "sojourn_cell", cell)
         object.__setattr__(self, "sojourn_families",
                            tuple(tuple(by_kind.values()) for by_kind in families))
         object.__setattr__(self, "atom_values", frozenset(
@@ -144,25 +148,32 @@ class PosmdpModel:
         return len(self.observations)
 
     def sojourn_density_matrix(self, a: int, tau: float) -> np.ndarray:
-        """Mixed-measure f(tau | s, a, s') as an [s, s'] array.
-
-        Zero where the model gives no sojourn law; one density evaluation per
-        distribution family.
-        """
-        return self._fill_densities(np.zeros((self.n_states, self.n_states)), a, tau)
+        """Mixed-measure f(tau | s, a, s') as an [s, s'] array, zero where the
+        model gives no sojourn law: one time of :meth:`sojourn_density_samples`."""
+        return self.sojourn_density_samples(a, [tau])[0]
 
     def sojourn_density_samples(self, a: int, taus: np.ndarray) -> np.ndarray:
         """f(tau_n | s, a, s') for a vector of times, shaped [n, s, s']."""
         taus = np.asarray(taus, dtype=float).reshape(-1, 1)
-        return self._fill_densities(np.zeros((taus.shape[0], self.n_states, self.n_states)),
-                                    a, taus)
-
-    def _fill_densities(self, out, a, tau):
-        # The atom rule is tested once; each family is one numpy expression.
-        at_atom = atom_mask(tau, self.atom_values)
+        out = np.zeros((taus.shape[0], self.n_states, self.n_states))
+        at_atom = atom_mask(taus, self.atom_values)  # tested once for all families
         for family in self.sojourn_families[a]:
-            out[(..., *family.cells)] = mixed_density(family, tau, at_atom=at_atom)
+            out[(..., *family.cells)] = mixed_density(family, taus, at_atom=at_atom)
         return out
+
+    def sojourn_times(self, s, a, s2, u1, u2) -> np.ndarray:
+        """Per (s, a, s') row, its law's time drawn at uniforms ``u1``, ``u2``."""
+        k, cell = self.sojourn_cell[:, s, a, s2]
+        if (k < 0).any():
+            e = np.argmax(k < 0)
+            raise ValueError(f"(s, a, s') = ({s[e]}, {a[e]}, {s2[e]}) has no sojourn law")
+        families = [f for by_action in self.sojourn_families for f in by_action]
+        tau = np.empty(len(s))
+        for i in set(k.tolist()):  # the families drawn from
+            rows = np.flatnonzero(k == i)
+            tau[rows] = families[i].kind.time(u1[rows], u2[rows],
+                                              *(p[cell[rows]] for p in families[i].params))
+        return tau
 
 
 @dataclass(frozen=True)
@@ -234,11 +245,9 @@ def validate(model: PosmdpModel) -> ValidationReport:
             elif abs(row.sum() - 1.0) > ROW_SUM_TOL:
                 v.append(f"observation row (a={a}, s'={s2}) sums to {row.sum():.12g}, not 1")
 
-    for s in range(model.n_states):
-        for a in range(model.n_actions):
-            for s2 in np.flatnonzero(model.transition[s, a] > 0):
-                if (s, a, int(s2)) not in model.sojourn:
-                    v.append(f"missing sojourn distribution for reachable (s={s}, a={a}, s'={s2})")
+    missing = (model.transition > 0) & (model.sojourn_cell[0] < 0)
+    for s, a, s2 in zip(*np.nonzero(missing)):
+        v.append(f"missing sojourn distribution for reachable (s={s}, a={a}, s'={s2})")
 
     if np.any(model.initial_belief < 0):
         v.append("initial belief has negative entries")

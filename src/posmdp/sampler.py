@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .belief import condition, predict_with_time
-from .distributions import atom_mask, mixed_density
+from .distributions import atom_mask, draw_rows, mixed_density
 # Kept as names of this module: bench/tracer.py wraps the filter here.
 from .belief import observation_time_likelihood, update_with_time  # noqa: F401
 
@@ -43,11 +43,6 @@ class SampleBank:
         return replace(self, beliefs=np.vstack([self.beliefs, *extra]))
 
 
-def _draw_rows(cumulative, u):
-    """Per row of ``cumulative`` probabilities, the index that uniform ``u`` selects."""
-    return np.minimum((cumulative < u[:, None]).sum(axis=1), cumulative.shape[1] - 1)
-
-
 def collect(model, n: int, seed: int) -> SampleBank:
     """Grow a belief set of size ``n`` by random exploration from xi_0.
 
@@ -66,10 +61,10 @@ def collect(model, n: int, seed: int) -> SampleBank:
     for size in 2 ** np.arange(int(n - 1).bit_length()):  # |B| = 1, 2, 4, ...
         m = min(size, n - size)
         xi = beliefs[rng.integers(size, size=m)]
-        s = _draw_rows(np.cumsum(xi, axis=1), rng.random(m))
+        s = draw_rows(np.cumsum(xi, axis=1), rng.random(m))
         adm = model.admissible[s]  # the action is the k-th admissible one, k uniform
         a = (np.cumsum(adm, axis=1) <= rng.integers(adm.sum(axis=1))[:, None]).sum(axis=1)
-        s2 = _draw_rows(model.transition_cdf[s, a], rng.random(m))
+        s2 = draw_rows(model.transition_cdf[s, a], rng.random(m))
         origins[size - 1:size - 1 + m] = key = np.stack([s, a, s2], axis=1)
         laws, which, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
         tau = times[size - 1:size - 1 + m]  # a view: the draws land in times
@@ -80,7 +75,7 @@ def collect(model, n: int, seed: int) -> SampleBank:
             rows = np.flatnonzero(a == act)
             predicted = predict_with_time(model, xi[rows], act, tau[rows])
             masses = predicted @ model.observation_kernel[act]
-            o = _draw_rows(np.cumsum(masses / masses.sum(axis=1, keepdims=True), axis=1), u[rows])
+            o = draw_rows(np.cumsum(masses / masses.sum(axis=1, keepdims=True), axis=1), u[rows])
             beliefs[size + rows] = condition(model, predicted, act, o, tau[rows])
     counts = np.zeros(model.transition.shape)
     np.add.at(counts, tuple(origins.T), 1)

@@ -6,13 +6,14 @@ elapsed continuous time. "Episodes" are independent restarts from the
 initial belief; any episodic structure (such as a reset transition) lives
 in the model itself, not here.
 
-Episodes run in lockstep (:func:`run_episodes`): their beliefs form one
-``[E, s]`` block, the greedy actions of all episodes come from one product
-with the alpha-vector matrix, and each epoch makes one time-aware update per
-action over the episodes that took it. Each episode still draws its initial
-state, then ``(s', tau, o)`` per epoch, from its own generator in that order,
-so its random stream does not depend on how many episodes run beside it.
-:func:`rollout` is the one-episode case, with its history recorded.
+Episodes run in lockstep (:func:`run_episodes`) as one ``[E, s]`` belief
+block: greedy actions, ``(s', tau, o)`` draws, rewards and each action's
+filter step are array operations. Each episode has a fixed budget of uniforms
+from its own generator: one for its initial state, then four per epoch (s',
+two for tau's family map, o), drawn with one ``rng.random`` call per block of
+whole epochs (at most ``DRAW_BLOCK`` uniforms over all episodes). A generator
+yields its stream in order whatever the block, so an episode's path depends
+neither on how many run beside it nor on the epoch count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import update_with_time
-from .distributions import draw_index
+from .distributions import draw_rows
 
 __all__ = [
     "HistoryRecord",
@@ -34,6 +35,8 @@ __all__ = [
     "evaluate",
     "write_trajectory",
 ]
+
+DRAW_BLOCK = 1 << 20  # uniforms per block of epochs over all episodes (8 MB)
 
 
 @dataclass
@@ -58,25 +61,27 @@ class HistoryRecord:
         return len(self.entries)
 
 
-def step(model, s: int, a: int, rng: np.random.Generator):
-    """One transition: draw (s', tau, o) and the realized stage reward.
-
-    The reward is the lump sum plus the rate component integrated over the
-    realized sojourn, ``r1(s,a) + r2(s,a,s') (1 - exp(-beta tau)) / beta``
-    (``r2 * tau`` when undiscounted), discounted to the start of the stage.
-    """
-    if not model.admissible[s, a]:
-        raise ValueError(f"action {a} is not admissible in state {s}")
-    s2 = draw_index(model.transition_cdf[s, a], rng)
-    tau = float(model.sojourn[(s, a, s2)].sample(rng))
-    o = draw_index(model.observation_cdf[a, s2], rng)
+def _transition(model, s, a, u):
+    """Per row, (s', tau, o) from its four uniforms ``u[row]``, the stage reward
+    (see :func:`step`) and the discount factor ``exp(-beta tau)``."""
+    if not model.admissible[s, a].all():
+        bad = np.flatnonzero(~model.admissible[s, a])[0]
+        raise ValueError(f"action {a[bad]} is not admissible in state {s[bad]}")
+    s2 = draw_rows(model.transition_cdf[s, a], u[:, 0])
+    tau = model.sojourn_times(s, a, s2, u[:, 1], u[:, 2])
+    o = draw_rows(model.observation_cdf[a, s2], u[:, 3])
+    decay = np.exp(-model.beta * tau)
     rate = model.rate_reward[s, a, s2]
-    if model.beta > 0:
-        accrued = rate * (1.0 - math.exp(-model.beta * tau)) / model.beta
-    else:
-        accrued = rate * tau
-    reward = float(model.lump_reward[s, a] + accrued)
-    return s2, tau, o, reward
+    accrued = rate * (1.0 - decay) / model.beta if model.beta > 0 else rate * tau
+    return s2, tau, o, model.lump_reward[s, a] + accrued, decay
+
+
+def step(model, s: int, a: int, rng: np.random.Generator):
+    """One transition from ``rng.random(4)``, as one row of a rollout epoch:
+    (s', tau, o) and the stage reward ``r1(s,a) + r2(s,a,s') (1 - exp(-beta
+    tau)) / beta`` (the rate integrated over the sojourn; ``r2 tau`` if beta = 0)."""
+    s2, tau, o, reward, _ = _transition(model, np.array([s]), np.array([a]), rng.random((1, 4)))
+    return int(s2[0]), float(tau[0]), int(o[0]), float(reward[0])
 
 
 def run_episodes(model, value_function, xi0, epochs: int, rngs, histories=None) -> np.ndarray:
@@ -91,30 +96,25 @@ def run_episodes(model, value_function, xi0, epochs: int, rngs, histories=None) 
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    xi0 = np.asarray(xi0, dtype=float)
-    start_cdf = np.cumsum(xi0)
     n = len(rngs)
-    states = [draw_index(start_cdf, rng) for rng in rngs]
-    xi = np.tile(xi0, (n, 1))
-    returns = np.zeros(n)
-    discount = np.ones(n)
-    taus, rewards, decay = np.empty(n), np.empty(n), np.empty(n)
-    observations = np.empty(n, dtype=int)
-    for _ in range(epochs):
-        actions = value_function.actions[np.argmax(xi @ value_function.matrix.T, axis=1)]
-        for e, rng in enumerate(rngs):
-            states[e], taus[e], observations[e], rewards[e] = step(
-                model, states[e], int(actions[e]), rng)
-            decay[e] = math.exp(-model.beta * taus[e])
-        for a in np.unique(actions):
-            rows = np.flatnonzero(actions == a)
-            xi[rows] = update_with_time(model, xi[rows], int(a), taus[rows], observations[rows])
-        gained = discount * rewards
-        returns += gained
-        discount *= decay
-        for e, history in enumerate(histories or ()):
-            history.append(int(actions[e]), float(taus[e]), int(observations[e]),
-                           xi[e].copy(), float(gained[e]))
+    states = draw_rows(np.cumsum(xi0), np.array([rng.random() for rng in rngs]))
+    xi = np.tile(np.asarray(xi0, dtype=float), (n, 1))
+    returns, discount = np.zeros(n), np.ones(n)
+    block = max(1, DRAW_BLOCK // (4 * n))
+    for first in range(0, epochs, block):
+        draws = np.stack([rng.random((min(block, epochs - first), 4)) for rng in rngs], axis=1)
+        for u in draws:  # one epoch: [E, 4]
+            actions = value_function.actions[np.argmax(xi @ value_function.matrix.T, axis=1)]
+            states, taus, observations, rewards, decay = _transition(model, states, actions, u)
+            for a in np.unique(actions):
+                rows = np.flatnonzero(actions == a)
+                xi[rows] = update_with_time(model, xi[rows], int(a), taus[rows], observations[rows])
+            gained = discount * rewards
+            returns += gained
+            discount *= decay
+            for e, history in enumerate(histories or ()):
+                history.append(int(actions[e]), float(taus[e]), int(observations[e]),
+                               xi[e].copy(), float(gained[e]))
     return returns
 
 

@@ -148,25 +148,25 @@ def mixture_density(bank, model, tau):
 def sequential_episodes(model, value_function, episodes, epochs, seed):
     """Episodes run one after another, each with its own 1-D belief.
 
-    Each generator draws the initial state, then per epoch s', tau and o by
-    ``searchsorted`` over freshly summed rows; the greedy action is
-    ``value_function.action_at``. The 1-D filter and ``action_at`` come from
-    the package; test_belief and test_solver check them on their own. Returns,
-    per episode, the list of (a, tau, o) and the discounted return.
+    Each generator draws one uniform for the initial state, then per epoch
+    one uniform for s', the law's own ``sample(rng)`` for tau (two uniforms)
+    and one uniform for o; each index is a ``searchsorted`` over freshly
+    summed rows. The greedy action is ``value_function.action_at``. The 1-D
+    filter and ``action_at`` come from the package; test_belief and
+    test_solver check them on their own. Returns, per episode, the list of
+    (a, tau, o) and the discounted return.
     """
     out = []
     for stream in np.random.SeedSequence(seed).spawn(episodes):
         rng = np.random.default_rng(stream)
         xi = np.asarray(model.initial_belief, dtype=float)
-        s = min(int(np.searchsorted(np.cumsum(xi), rng.random())), model.n_states - 1)
+        s = _sample_index(rng.random(), xi)
         entries, total, discount = [], 0.0, 1.0
         for _ in range(epochs):
             a = value_function.action_at(xi)
-            s2 = int(np.searchsorted(np.cumsum(model.transition[s, a]), rng.random()))
-            s2 = min(s2, model.n_states - 1)
+            s2 = _sample_index(rng.random(), model.transition[s, a])
             tau = float(model.sojourn[(s, a, s2)].sample(rng))
-            o = int(np.searchsorted(np.cumsum(model.observation_kernel[a, s2]), rng.random()))
-            o = min(o, model.n_observations - 1)
+            o = _sample_index(rng.random(), model.observation_kernel[a, s2])
             rate = model.rate_reward[s, a, s2]
             if model.beta > 0:
                 accrued = rate * (1.0 - math.exp(-model.beta * tau)) / model.beta
@@ -182,7 +182,8 @@ def sequential_episodes(model, value_function, episodes, epochs, seed):
 
 
 def _sample_index(u, probabilities):
-    idx = int(np.searchsorted(np.cumsum(probabilities), u))
+    """The first index whose cumulative probability exceeds ``u``."""
+    idx = int(np.searchsorted(np.cumsum(probabilities), u, side="right"))
     return min(idx, len(probabilities) - 1)
 
 

@@ -22,6 +22,7 @@ from posmdp.distributions import (
     DeterministicAtom,
     InverseGaussian,
     TruncatedGaussian,
+    draw_rows,
     mixed_density,
 )
 
@@ -211,13 +212,71 @@ class TestTruncatedGaussian:
         assert ks < 0.01
         assert np.all(draws > 0)
 
+    @pytest.mark.parametrize("mu", [-8.0, -3.0, 0.0, 10.0])
+    def test_cdf_matches_reference_at_any_truncation(self, mu):
+        # Very negative means leave little mass above 0; the cdf must not lose
+        # it to cancellation (scipy's truncnorm works in the tail).
+        dist = TruncatedGaussian(mu, 1.0)
+        ref = stats.truncnorm(-mu, np.inf, loc=mu, scale=1.0)
+        taus = np.array([0.001, 0.01, 0.1, 0.5, 1.0, 3.0]) + max(mu, 0.0)
+        np.testing.assert_allclose(dist.cdf(taus), ref.cdf(taus), rtol=1e-9, atol=1e-15)
+
+    def test_law_without_mass_above_zero_is_rejected(self):
+        TruncatedGaussian(-37.0, 1.0)
+        with pytest.raises(ValueError, match="no mass"):
+            TruncatedGaussian(-40.0, 1.0)
+
     def test_heavily_truncated_sampler(self, rng):
-        # Mean below zero: rejection still terminates and stays positive.
+        # Mean below zero: draws stay positive and match the reference mean.
         dist = TruncatedGaussian(-1.0, 1.0)
         draws = dist.sample(rng, size=10_000)
         assert np.all(draws > 0)
         ref = stats.truncnorm(1.0, np.inf, loc=-1.0, scale=1.0)
         assert abs(draws.mean() - ref.mean()) < 3 * ref.std() / math.sqrt(10_000)
+
+
+MAP_LAWS = [
+    InverseGaussian(5.0, 250.0),  # lam = 10 mu**2, as in the bus model
+    InverseGaussian(5.0, 5.0),  # lam = mu: heavy right tail
+    TruncatedGaussian(10.0, 1.5),  # mu / sigma = 6.7, as in the maintenance model
+    TruncatedGaussian(0.0, 1.0),
+    TruncatedGaussian(-8.0, 1.0),  # acceptance of a rejection sampler: ~6e-16
+]
+EXTREME_LAWS = MAP_LAWS + [
+    InverseGaussian(1e-3, 1e-3), InverseGaussian(45.0, 20250.0), TruncatedGaussian(40.0, 1.0),
+    TruncatedGaussian(-37.0, 1.0), DeterministicAtom(12.0),
+]
+
+
+class TestTimeMaps:
+    """A law's ``sample`` is its family's uniform-to-time map on two uniforms."""
+
+    @pytest.mark.parametrize("dist", MAP_LAWS, ids=repr)
+    def test_samples_follow_the_cdf(self, dist, rng):
+        draws = dist.sample(rng, size=20_000)
+        assert stats.kstest(draws, dist.cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("dist", EXTREME_LAWS, ids=repr)
+    def test_finite_positive_time_at_every_generator_value(self, dist):
+        # Generator.random returns multiples of 2**-53 in [0, 1): check its ends.
+        u = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+        u1, u2 = (g.ravel() for g in np.meshgrid(u, u))
+        tau = dist.time(u1, u2, *dist.params)
+        assert np.all(np.isfinite(tau)) and np.all(tau > 0)
+        assert np.all(dist.pdf(tau) > 0)  # the filter can condition on every draw
+
+    @pytest.mark.parametrize("dist", MAP_LAWS, ids=repr)
+    def test_sample_is_the_map_on_two_blocks(self, dist):
+        u = np.random.default_rng(3).random((2, 50))
+        np.testing.assert_array_equal(dist.sample(np.random.default_rng(3), 50),
+                                      dist.time(u[0], u[1], *dist.params))
+
+
+def test_row_search_never_draws_a_zero_probability_index():
+    cumulative = np.cumsum([[0.0, 0.5, 0.0, 0.5], [0.25, 0.25, 0.5, 0.0]], axis=1)
+    u = np.array([0.0, 0.5 - 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    np.testing.assert_array_equal(draw_rows(cumulative[0], u), [1, 1, 3, 3])
+    np.testing.assert_array_equal(draw_rows(cumulative[[1, 1, 1, 1]], u), [0, 1, 2, 2])
 
 
 class TestMixedDensity:

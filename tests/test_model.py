@@ -295,9 +295,10 @@ class TestSojournFamilies:
     @pytest.mark.parametrize("name", ["bus", "maintenance", "random"])
     def test_random_times_match_per_triple_oracle(self, name, bus_model, maintenance_model,
                                                   random_model_factory):
-        # Vector times are bit-identical to each law's pdf over the same times.
-        # A scalar time runs numpy on 0-d arrays, whose exp and power may round
-        # differently in the last bits, so it is held to 1e-12 relative.
+        # Vector times are bit-identical to each law's pdf over the same times,
+        # and one time at a time (the one-row case of the block) to the block.
+        # The per-triple oracle runs numpy on 0-d arrays, whose exp and power
+        # may round differently in the last bits, so it is held to 1e-12.
         model = {"bus": bus_model, "maintenance": maintenance_model,
                  "random": random_model_factory(np.random.default_rng(3), with_atoms=True)}[name]
         taus = np.random.default_rng(11).uniform(0.05, 60.0, 200)
@@ -309,6 +310,7 @@ class TestSojournFamilies:
             expected = np.array([[[_density(model, s, a, s2, t) for s2 in range(n)]
                                   for s in range(n)] for t in taus])
             scalar = np.array([model.sojourn_density_matrix(a, float(t)) for t in taus])
+            np.testing.assert_array_equal(scalar, model.sojourn_density_samples(a, taus))
             np.testing.assert_allclose(scalar, expected, rtol=1e-12, atol=0.0)
 
 
@@ -348,6 +350,9 @@ MALFORMED = {
     "sojourn_record_without_s": lambda doc: doc["sojourn"][0].pop("s"),
     "sojourn_state_not_integer": lambda doc: doc["sojourn"][0].update(s=0.5),
     "sojourn_dist_not_object": lambda doc: doc["sojourn"][0].update(dist=5),
+    # P(X > 0) underflows to 0, so the law has no density or cdf.
+    "truncated_gaussian_without_mass": lambda doc: doc["sojourn"][0].update(
+        dist={"type": "truncated_gaussian", "mu": -40.0, "sigma": 1.0}),
     "sojourn_is_number": lambda doc: doc.update(sojourn=5),
     "states_is_number": lambda doc: doc.update(states=5),
     "mixed_observable_without_hidden_labels": lambda doc: doc["mixed_observable"].pop(

@@ -10,6 +10,7 @@ import pytest
 from oracles import sequential_episodes
 
 import posmdp
+from posmdp import simulator
 from posmdp.simulator import (
     HistoryRecord,
     evaluate,
@@ -21,6 +22,7 @@ from posmdp.simulator import (
 from posmdp.solver import AlphaVector, ValueFunction, constant_value_function
 
 BUS, BIKE = 0, 1
+STOP0_LOW, STOP1_LOW = 0, 3
 STOP3_LOW = 3 * 3 + 0
 STOP4_LOW = 4 * 3 + 0
 
@@ -54,6 +56,12 @@ class TestStep:
         restricted = replace(bus_model, admissible=admissible)
         with pytest.raises(ValueError, match="not admissible"):
             step(restricted, 0, BIKE, rng)
+
+    def test_transition_without_a_law_raises(self, bus_model, rng):
+        sojourn = dict(bus_model.sojourn)
+        del sojourn[(STOP0_LOW, BUS, STOP1_LOW)]  # a model that fails validate
+        with pytest.raises(ValueError, match="no sojourn law"):
+            step(replace(bus_model, sojourn=sojourn), STOP0_LOW, BUS, rng)
 
     def test_transition_frequencies(self, maintenance_model, rng):
         n = 20_000
@@ -198,6 +206,41 @@ class TestLockstep:
                          np.random.default_rng(s)).cumulative_discounted_reward
                  for s in streams[:3]]
         np.testing.assert_allclose(batch[:3], alone, rtol=1e-12)
+
+
+class TestDrawBudget:
+    def test_step_is_the_first_epoch_after_the_initial_uniform(self, bus_model):
+        # Riding the bus draws an inverse Gaussian time for the hidden intensity.
+        vf = constant_value_function(bus_model, 0.0, action=BUS)
+        start = np.cumsum(bus_model.initial_belief)
+        for seed in range(6):
+            history = rollout(bus_model, vf, bus_model.initial_belief, 1,
+                              np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            s0 = int(np.searchsorted(start, rng.random(), side="right"))
+            _, tau, o, reward = step(bus_model, s0, BUS, rng)
+            assert history.entries[0] == (BUS, tau, o)
+            assert history.rewards[0] == reward
+
+    def test_histories_ignore_epoch_count_and_draw_block(self, bus_model, monkeypatch):
+        vf = _mixed_policy(bus_model)
+        streams = np.random.SeedSequence(5).spawn(3)
+
+        def histories(epochs):
+            out = [HistoryRecord() for _ in streams]
+            run_episodes(bus_model, vf, bus_model.initial_belief, epochs,
+                         [np.random.default_rng(s) for s in streams], out)
+            return out
+
+        full = histories(30)
+        for epochs in (1, 7, 29):
+            for short, whole in zip(histories(epochs), full):
+                assert short.entries == whole.entries[:epochs]
+        for block_uniforms in (1, 4 * 3 * 4):  # one epoch, then four, per generator call
+            monkeypatch.setattr(simulator, "DRAW_BLOCK", block_uniforms)
+            for blocked, whole in zip(histories(30), full):
+                assert blocked.entries == whole.entries
+                np.testing.assert_array_equal(blocked.beliefs, whole.beliefs)
 
 
 class TestMaintenancePolicyBehavior:
