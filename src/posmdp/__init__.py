@@ -6,7 +6,6 @@ from .belief import (
     ImpossibleEvidenceError,
     update_with_time,
     update_without_time,
-    validate_belief,
 )
 from .distributions import (
     BetaDensity,
@@ -30,7 +29,6 @@ from .model import (
 from .sampler import (
     SampleBank,
     collect,
-    importance_ratio,
     load_bank,
     mixture_density,
     save_bank,
@@ -80,7 +78,6 @@ __all__ = [
     "conservative_value_function",
     "constant_value_function",
     "evaluate",
-    "importance_ratio",
     "initial_value_function",
     "load_bank",
     "load_model",
@@ -98,5 +95,4 @@ __all__ = [
     "update_with_time",
     "update_without_time",
     "validate",
-    "validate_belief",
 ]

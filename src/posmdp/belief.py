@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "ImpossibleEvidenceError",
-    "validate_belief",
     "predict_with_time",
     "condition",
     "update_with_time",
@@ -38,15 +37,6 @@ class ImpossibleEvidenceError(ValueError):
             f"evidence (a={action}, tau={tau}, o={observation}) has zero likelihood "
             "under the model; the trace does not match the model"
         )
-
-
-def validate_belief(belief, n_states: int) -> np.ndarray:
-    belief = np.asarray(belief, dtype=float)
-    if belief.shape != (n_states,):
-        raise ValueError(f"belief must have shape ({n_states},), got {belief.shape}")
-    if np.any(belief < 0) or abs(belief.sum() - 1.0) > 1e-12:
-        raise ValueError("belief must be a probability vector summing to 1")
-    return belief
 
 
 def predict_with_time(model, belief, action: int, tau) -> np.ndarray:

@@ -182,9 +182,6 @@ class StageRewardTable:
 
     values: np.ndarray  # [s, a]
 
-    def minimum(self) -> float:
-        return float(self.values.min())
-
 
 def compute_stage_reward(model: PosmdpModel) -> StageRewardTable:
     """Assemble R(s, a) from the lump-sum and constant-rate components.

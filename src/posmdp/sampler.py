@@ -7,23 +7,24 @@ weights ``w(s, a, s')`` recording which transition produced each time. ``B``
 grows in generations, and is still Perseus's random exploration from ``xi_0``
 (Spaan & Vlassis, JAIR 2005): the order in which its tree grows is not part
 of the method. The mixture density ``D`` built from those weights is the
-proposal shared by every transition in the importance-sampled backup.
+proposal shared by every transition in the importance-sampled backup; it is
+summed from the per-action density blocks that the solver's cache also groups.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .belief import condition, predict_with_time
-from .distributions import atom_mask, draw_rows, mixed_density
+from .distributions import draw_rows
 # Kept as names of this module: bench/tracer.py wraps the filter here.
 from .belief import observation_time_likelihood, update_with_time  # noqa: F401
 
-__all__ = ["SampleBank", "collect", "mixture_density", "importance_ratio",
-           "bank_to_dict", "bank_from_dict", "save_bank", "load_bank"]
+__all__ = ["SampleBank", "collect", "mixture_density", "bank_to_dict", "bank_from_dict",
+           "save_bank", "load_bank"]
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,6 @@ class SampleBank:
     @property
     def n_samples(self) -> int:
         return len(self.times)
-
-    def with_extra_beliefs(self, extra) -> "SampleBank":
-        """Bank with additional belief rows appended to B (C, w unchanged)."""
-        return replace(self, beliefs=np.vstack([self.beliefs, *extra]))
 
 
 def collect(model, n: int, seed: int) -> SampleBank:
@@ -85,22 +82,25 @@ def collect(model, n: int, seed: int) -> SampleBank:
 def mixture_density(bank: SampleBank, model, tau):
     """Proposal density D(tau) = sum over transitions of w * f.
 
-    ``f`` is the mixed-measure density of :func:`mixed_density`, so at an
-    atom point only atom components contribute and elsewhere only continuous
-    ones; scalar or array ``tau``.
+    ``f`` is the mixed-measure density of
+    :meth:`~posmdp.model.PosmdpModel.sojourn_density_samples`, so at an atom
+    point only atom components contribute and elsewhere only continuous ones;
+    scalar or array ``tau``, each distinct time evaluated once.
     """
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    at_atom = atom_mask(tau_arr, model.atom_values)
-    out = np.zeros_like(tau_arr)
-    for key, w in np.ndenumerate(bank.weights):
-        if w != 0.0:
-            out += w * mixed_density(model.sojourn[key], tau_arr, at_atom=at_atom)
+    taus, inverse = np.unique(np.atleast_1d(np.asarray(tau, dtype=float)), return_inverse=True)
+    blocks = [model.sojourn_density_samples(a, taus) for a in range(model.n_actions)]
+    out = _mixture_from_blocks(bank.weights, blocks)[inverse]
     return out if np.ndim(tau) else float(out[0])
 
 
-def importance_ratio(bank: SampleBank, model, tau, beta: float):
-    """exp(-beta * tau) / D(tau); finite at every collected sample."""
-    return np.exp(-beta * np.asarray(tau, dtype=float)) / mixture_density(bank, model, tau)
+def _mixture_from_blocks(weights, blocks):
+    """D at the times of per-action ``[tau, s, s']`` density ``blocks``: the terms
+    ``w f`` of the cells with ``w != 0``, summed from zero left to right in ``(s,
+    a, s')`` order (``np.sum`` would pair them and change D in its last bits)."""
+    f = np.stack(blocks, axis=2).reshape(len(blocks[0]), weights.size)  # [tau, s a s']
+    live = weights.ravel() != 0.0
+    terms = np.hstack([np.zeros((len(f), 1)), f[:, live] * weights.ravel()[live]])
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------

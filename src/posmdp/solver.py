@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .model import ModelFormatError, compute_stage_reward, model_hash
-from .sampler import SampleBank, mixture_density
+from .sampler import SampleBank, _mixture_from_blocks, mixture_density
 
 __all__ = [
     "AlphaVector",
@@ -79,38 +79,31 @@ class AlphaVector:
 
 
 class ValueFunction:
-    """Nonempty set of alpha vectors; value is the max inner product."""
+    """Nonempty set of alpha vectors, held as ``matrix [v, s]`` and ``actions [v]``
+    (iterating yields them as :class:`AlphaVector` rows); value is the max inner product."""
 
     def __init__(self, vectors):
-        self.vectors = list(vectors)
-        if not self.vectors:
+        vectors = list(vectors)
+        if not vectors:
             raise ValueError("value function needs at least one alpha vector")
-        self._matrix = np.stack([v.values for v in self.vectors])
-        self._actions = np.array([v.action for v in self.vectors])
+        self.matrix = np.stack([v.values for v in vectors])
+        self.actions = np.array([v.action for v in vectors])
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.matrix)
 
     def __iter__(self):
-        return iter(self.vectors)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def actions(self) -> np.ndarray:
-        return self._actions
+        return (AlphaVector(row, int(a)) for row, a in zip(self.matrix, self.actions))
 
     def value_at(self, belief) -> float:
-        return float(np.max(self._matrix @ np.asarray(belief, dtype=float)))
+        return float(np.max(self.matrix @ np.asarray(belief, dtype=float)))
 
     def action_at(self, belief) -> int:
         # Ties break to the lowest vector index (argmax returns the first max).
-        return int(self._actions[np.argmax(self._matrix @ np.asarray(belief, dtype=float))])
+        return int(self.actions[np.argmax(self.matrix @ np.asarray(belief, dtype=float))])
 
     def values_at(self, belief_matrix: np.ndarray) -> np.ndarray:
-        return (np.asarray(belief_matrix) @ self._matrix.T).max(axis=1)
+        return (np.asarray(belief_matrix) @ self.matrix.T).max(axis=1)
 
 
 def constant_value_function(model, value: float, action: int = 0) -> ValueFunction:
@@ -130,7 +123,7 @@ def initial_value_function(model, bank: SampleBank) -> ValueFunction:
     """
     if bank.n_samples == 0:
         return conservative_value_function(model)
-    m_min = compute_stage_reward(model).minimum()
+    m_min = float(compute_stage_reward(model).values.min())
     if m_min == 0.0:
         return constant_value_function(model, 0.0)
     ratios = np.exp(-model.beta * bank.times) / mixture_density(bank, model, bank.times)
@@ -150,7 +143,7 @@ def conservative_value_function(model) -> ValueFunction:
     beta > 0), at the cost of being looser than the sample-based bound of
     :func:`initial_value_function`.
     """
-    m_min = compute_stage_reward(model).minimum()
+    m_min = float(compute_stage_reward(model).values.min())
     if m_min == 0.0:
         return constant_value_function(model, 0.0)
     discounts = [d.expected_discount(model.beta) for d in set(model.sojourn.values())]
@@ -173,8 +166,9 @@ class BackupCache:
 
     One rule forms the groups. The density depends on a sample only through
     tau, so the bank's equal times come first, with summed factors
-    ``exp(-beta tau_n) / D(tau_n) / |C|``. Each such time's ``[s, s']``
-    density row under action ``a`` is then divided by its largest entry,
+    ``exp(-beta tau_n) / D(tau_n) / |C|``, D being summed from the per-action
+    ``[tau, s, s']`` density blocks, evaluated once at those times. Each such
+    time's ``[s, s']`` density row under ``a`` is then divided by its largest entry,
     ``level(tau)``, and times whose scaled rows are equal share one group: its
     slice is ``P_a`` times that row and its weight ``sum kappa level(tau)``
     (groups in the order of their rows' bytes). This is exact: a backup takes,
@@ -196,14 +190,15 @@ class BackupCache:
     def __init__(self, model, bank: SampleBank):
         self.beliefs = bank.beliefs  # [b, s]
         self.stage_reward = compute_stage_reward(model).values  # [s, a]
-        density = mixture_density(bank, model, bank.times)
-        kappa_all = np.exp(-model.beta * bank.times) / density / max(bank.n_samples, 1)
         taus, inverse = np.unique(bank.times, return_inverse=True)
+        blocks = [model.sojourn_density_samples(a, taus) for a in range(model.n_actions)]
+        density = _mixture_from_blocks(bank.weights, blocks)[inverse]
+        kappa_all = np.exp(-model.beta * bank.times) / density / max(bank.n_samples, 1)
         kappa_tau = np.bincount(inverse, kappa_all, taus.size)
         n_s = model.n_states
         shapes, self.kappa = [], []  # per action: [g, s s'] scaled rows, [g] weights
         for a in range(model.n_actions):
-            f_vals = model.sojourn_density_samples(a, taus).reshape(taus.size, n_s * n_s)
+            f_vals = blocks[a].reshape(taus.size, n_s * n_s)
             level = f_vals.max(axis=1)
             live = level != 0  # not > 0: a NaN density must reach the backup and fail it
             rows = f_vals[live] / level[live, None]
@@ -334,7 +329,8 @@ def perseus_update(model, vf: ValueFunction, cache: BackupCache,
         xi = belief_mat[pick]
         alpha = backup(model, vf, cache, xi)
         if float(xi @ alpha.values) < old_values[pick]:
-            alpha = vf.vectors[int(np.argmax(vf.matrix @ xi))]
+            best = int(np.argmax(vf.matrix @ xi))
+            alpha = AlphaVector(vf.matrix[best], int(vf.actions[best]))
         improved = belief_mat[remaining] @ alpha.values >= old_values[remaining]
         # The picked belief is always settled (the guard above keeps its best
         # old vector), even if float summation order makes the sweep miss it.
@@ -422,7 +418,7 @@ def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = No
         if record.residual < epsilon:
             improving = _bellman_sweep(model, vf, cache, epsilon)
             if improving:
-                vf = ValueFunction(vf.vectors + improving)
+                vf = ValueFunction([*vf, *improving])
                 values = vf.values_at(belief_mat)
                 record.residual = float(np.max(values - new_values))
                 record.n_vectors = len(vf)

@@ -36,7 +36,7 @@ def brute_force_backup(model, vf, bank, belief):
             for o in range(model.n_observations):
                 # Pick the alpha vector maximizing the projected value at xi.
                 best_proj, best_vec = -np.inf, None
-                for vec in vf.vectors:
+                for vec in vf:
                     proj = 0.0
                     for s in range(n_states):
                         for s2 in range(n_states):

@@ -4,6 +4,7 @@ Heavy artifacts (the water-filtration solve, the commuting-problem mesh) are
 built once in module-scoped fixtures and shared across criteria.
 """
 
+import dataclasses
 import math
 import time
 
@@ -37,7 +38,8 @@ def maintenance_run(maintenance_model):
     """|B| = 5000 plus the eight reference beliefs, 40 iterations."""
     start = time.perf_counter()
     bank = posmdp.collect(maintenance_model, 5000, seed=7)
-    bank = bank.with_extra_beliefs([np.array(b) for b, _, _ in MAINT_TABLE])
+    bank = dataclasses.replace(bank, beliefs=np.vstack([bank.beliefs,
+                                                         [b for b, _, _ in MAINT_TABLE]]))
     result = posmdp.solve(
         maintenance_model,
         bank,
@@ -118,7 +120,7 @@ def test_criterion_4_importance_sampling_unbiased():
     rng = np.random.default_rng(4)
     m = make_random_model(rng, n_states=2, n_actions=2, n_observations=2)
     bank = posmdp.collect(m, 100_001, seed=11)
-    ratios = posmdp.importance_ratio(bank, m, bank.times, m.beta)
+    ratios = np.exp(-m.beta * bank.times) / posmdp.mixture_density(bank, m, bank.times)
     for s in range(2):
         for a in range(2):
             for s2 in range(2):

@@ -10,7 +10,6 @@ from posmdp.belief import (
     observation_time_likelihood,
     update_with_time,
     update_without_time,
-    validate_belief,
 )
 
 BUS = 0
@@ -199,17 +198,3 @@ class TestProperties:
         np.testing.assert_allclose(post, [0.0, 1.0, 0.0])
         masses, total = observation_time_likelihood(model, xi, 0, 5.0)
         np.testing.assert_allclose(masses / total, np.roll(xi, 1), rtol=1e-12)
-
-
-class TestValidateBelief:
-    def test_accepts_simplex_point(self):
-        out = validate_belief([0.25, 0.75], 2)
-        assert isinstance(out, np.ndarray)
-
-    def test_rejects_bad_shape_and_mass(self):
-        with pytest.raises(ValueError):
-            validate_belief([0.5, 0.5], 3)
-        with pytest.raises(ValueError):
-            validate_belief([0.6, 0.6], 2)
-        with pytest.raises(ValueError):
-            validate_belief([-0.1, 1.1], 2)

@@ -4,8 +4,10 @@ Oracle values come from scipy.stats (inverse Gaussian, truncated normal,
 beta) and adaptive quadrature, frozen as literals where noted.
 """
 
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -331,3 +333,11 @@ def test_package_import_leaves_out_quadrature():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = "import posmdp, sys; assert 'scipy.integrate' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_every_exported_name_resolves():
+    modules = [posmdp] + [importlib.import_module(f"posmdp.{info.name}")
+                          for info in pkgutil.iter_modules(posmdp.__path__)]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing {missing}"

@@ -122,7 +122,7 @@ class TestStageReward:
         table = posmdp.compute_stage_reward(bus_model)
         # Lump-only rewards: R(s, a) equals the lump table exactly.
         np.testing.assert_array_equal(table.values, bus_model.lump_reward)
-        assert table.minimum() == 0.0
+        assert table.values.min() == 0.0
 
     def test_rate_reward_quadrature_oracle(self):
         # Random 2-state model: R(s, a) must equal lump plus the quadrature

@@ -13,7 +13,6 @@ from posmdp.sampler import (
     bank_from_dict,
     bank_to_dict,
     collect,
-    importance_ratio,
     load_bank,
     mixture_density,
     save_bank,
@@ -135,14 +134,6 @@ class TestCollect:
         with pytest.raises(ValueError):
             collect(maintenance_model, 0, seed=0)
 
-    def test_with_extra_beliefs(self, maintenance_model):
-        bank = collect(maintenance_model, 10, seed=0)
-        extra = [np.array([0.0, 0.0, 0.0, 1.0])]
-        grown = bank.with_extra_beliefs(extra)
-        assert len(grown.beliefs) == 11
-        np.testing.assert_array_equal(grown.beliefs[-1], extra[0])
-        assert grown.n_samples == bank.n_samples
-
 
 class TestMixtureDensity:
     def make_bank(self, model, weights):
@@ -190,6 +181,12 @@ class TestMixtureDensity:
             assert mixture_density(bank, model, float(tau)) == \
                 oracles.mixture_density(bank, model, float(tau))
 
+    def test_no_live_weight_gives_zero(self, maintenance_model):
+        bank = self.make_bank(maintenance_model, np.zeros(maintenance_model.transition.shape))
+        assert mixture_density(bank, maintenance_model, 78.7433) == 0.0
+        np.testing.assert_array_equal(
+            mixture_density(bank, maintenance_model, np.array([3.0, 78.7433])), [0.0, 0.0])
+
     def test_vectorized_matches_scalar(self, maintenance_model):
         bank = collect(maintenance_model, 50, seed=4)
         taus = np.array([3.0, 9.5, 78.7433, 85.3052])
@@ -201,8 +198,8 @@ class TestMixtureDensity:
 class TestImportanceRatio:
     def test_finite_at_collected_samples(self, maintenance_model):
         bank = collect(maintenance_model, 500, seed=2)
-        ratios = importance_ratio(bank, maintenance_model, bank.times,
-                                  maintenance_model.beta)
+        ratios = np.exp(-maintenance_model.beta * bank.times) / mixture_density(
+            bank, maintenance_model, bank.times)
         assert np.all(np.isfinite(ratios))
         assert np.all(ratios > 0)
 
@@ -213,7 +210,7 @@ class TestImportanceRatio:
         rng = np.random.default_rng(77)
         m = random_model_factory(rng, n_states=2, n_actions=2, n_observations=2)
         bank = collect(m, 20_001, seed=123)
-        ratios = importance_ratio(bank, m, bank.times, m.beta)
+        ratios = np.exp(-m.beta * bank.times) / mixture_density(bank, m, bank.times)
         for s in range(2):
             for a in range(2):
                 for s2 in range(2):

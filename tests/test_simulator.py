@@ -27,6 +27,12 @@ STOP3_LOW = 3 * 3 + 0
 STOP4_LOW = 4 * 3 + 0
 
 
+def transitions(model, s, a, rng, n):
+    """``n`` draws of :func:`step` from (s, a) as arrays: ``step`` spends
+    ``rng.random(4)`` per call, so one ``rng.random((n, 4))`` is the same stream."""
+    return simulator._transition(model, np.full(n, s), np.full(n, a), rng.random((n, 4)))
+
+
 class TestStep:
     def test_bike_step_is_deterministic(self, bus_model, rng):
         s2, tau, o, reward = step(bus_model, STOP3_LOW, BIKE, rng)
@@ -65,10 +71,8 @@ class TestStep:
 
     def test_transition_frequencies(self, maintenance_model, rng):
         n = 20_000
-        counts = np.zeros(4)
-        for _ in range(n):
-            s2, _, _, _ = step(maintenance_model, 0, 0, rng)
-            counts[s2] += 1
+        s2, _, _, _, _ = transitions(maintenance_model, 0, 0, rng, n)
+        counts = np.bincount(s2, minlength=4)
         p = maintenance_model.transition[0, 0]
         freq = counts / n
         se = np.sqrt(p * (1 - p) / n)
@@ -77,11 +81,9 @@ class TestStep:
     def test_observation_frequencies_follow_kernel(self, maintenance_model, rng):
         # Condition on landing back in the good state under replacement.
         n = 10_000
-        hist = np.zeros(100)
-        for _ in range(n):
-            s2, _, o, _ = step(maintenance_model, 3, 3, rng)
-            assert s2 == 0
-            hist[o] += 1
+        s2, _, o, _, _ = transitions(maintenance_model, 3, 3, rng, n)
+        assert np.all(s2 == 0)
+        hist = np.bincount(o, minlength=100)
         g = maintenance_model.observation_kernel[3, 0]
         # Coarse 10-bucket chi-square-style check, 3 SE per bucket.
         for lo in range(0, 100, 10):
@@ -93,7 +95,7 @@ class TestStep:
         # Replacement has a random sojourn; the mean realized reward must
         # agree with the closed-form stage reward.
         n = 20_000
-        rewards = np.array([step(maintenance_model, 1, 3, rng)[3] for _ in range(n)])
+        rewards = transitions(maintenance_model, 1, 3, rng, n)[3]
         target = posmdp.compute_stage_reward(maintenance_model).values[1, 3]
         se = rewards.std(ddof=1) / math.sqrt(n)
         assert abs(rewards.mean() - target) <= 3 * se

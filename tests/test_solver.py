@@ -129,6 +129,19 @@ class TestValueFunction:
         assert shifted.value_at(xi) == pytest.approx(vf.value_at(xi) + 7.5)
         assert shifted.action_at(xi) == vf.action_at(xi)
 
+    def test_rows_rebuild_the_same_arrays(self, rng):
+        # solve merges value functions through their rows and save_policy writes
+        # them, so iterating must give back each row and action in order.
+        vecs = [AlphaVector(rng.normal(size=3), action=i % 2) for i in range(4)]
+        vf = ValueFunction(vecs)
+        rows = list(vf)
+        assert all(isinstance(r, AlphaVector) for r in rows)
+        np.testing.assert_array_equal([r.values for r in rows], [v.values for v in vecs])
+        assert [r.action for r in rows] == [v.action for v in vecs]
+        merged = ValueFunction([*vf, *ValueFunction(vecs[:1])])
+        np.testing.assert_array_equal(merged.matrix, np.vstack([vf.matrix, vecs[0].values]))
+        np.testing.assert_array_equal(merged.actions, [0, 1, 0, 1, 0])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ValueFunction([])
@@ -155,7 +168,7 @@ class TestBackup:
         vf = ValueFunction([AlphaVector(rng.normal(size=3), i % 2) for i in range(3)])
         a, tau, o = 1, 5.3, 0
         got = alpha_given_a_tau_o(m, vf, a, tau, o)
-        for v, vec in enumerate(vf.vectors):
+        for v, vec in enumerate(vf):
             for s in range(3):
                 expected = sum(
                     m.observation_kernel[a, s2, o]
@@ -196,7 +209,7 @@ class TestBackup:
         cache = BackupCache(m, bank)
         first, second = (ValueFunction([AlphaVector(rng.normal(size=3) * 10, i % 2)
                                         for i in range(n)]) for n in (3, 4))
-        for vf in (first, second, first, second, ValueFunction(first.vectors), first):
+        for vf in (first, second, first, second, ValueFunction(first), first):
             xi = rng.dirichlet(np.ones(3))
             alpha = backup(m, vf, cache, xi)
             ref_values, ref_action = brute_force_backup(m, vf, bank, xi)
