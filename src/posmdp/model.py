@@ -682,5 +682,8 @@ def save_model(model: PosmdpModel, path) -> None:
 
 
 def model_hash(model: PosmdpModel) -> str:
-    payload = json.dumps(model_to_dict(model), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
+    """SHA-256 of the model's document, computed once per (immutable) model object."""
+    if "_hash" not in model.__dict__:
+        payload = json.dumps(model_to_dict(model), sort_keys=True).encode()
+        object.__setattr__(model, "_hash", hashlib.sha256(payload).hexdigest())
+    return model._hash

@@ -15,18 +15,16 @@ The outer loop backs up a shrinking random subset of the collected beliefs
 until every one of them is improved, and repeats until the sup-norm change
 over the belief set falls below a threshold. That randomized pass is
 sequential, since each pick depends on the vectors found before it, but its
-value function is fixed for the whole pass. So, as in Perseus and PBVI, every
-alpha vector is back-projected through every sample group and observation
-once per value function, by one product with an operator the cache stores
-(:meth:`BackupCache.projection`), and the pass and the verification sweep
-that follows it share that tensor. A backup is then
-two stages (:func:`backup_beliefs`): scores ``xi @ proj`` give every action's
-value and the best action, and only then is the winner's vector assembled,
-by gathering its maximizing projections. A single backup is the one-row case
-of the same kernel. The sweep that certifies convergence scores every
-collected belief at once and assembles vectors only where the score could
-beat the old value by epsilon (within :data:`SCREEN_SLACK`), then applies the
-exact test to them.
+value function is fixed for the whole pass. So, as in Perseus and PBVI, the
+cache back-projects every alpha vector through every sample group and
+observation once per value function (:meth:`BackupCache.projection`) and
+keeps that tensor with the value function's values on the belief set. A
+backup is two stages: :func:`_score` gives every action's value from
+``xi @ proj``, and :func:`_assemble` builds only the winner's vector from its
+maximizing projections. A single backup runs them on its one row; the
+verification sweep runs them over every collected belief in chunks, and
+assembles only rows whose score could beat the old value by epsilon (within
+:data:`SCREEN_SLACK`) before applying the exact test.
 """
 
 from __future__ import annotations
@@ -34,7 +32,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from itertools import compress
 
 import numpy as np
 
@@ -74,7 +73,7 @@ class AlphaVector:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("alpha vector entries must be finite")
 
 
@@ -182,9 +181,9 @@ class BackupCache:
     back-projection operator ``back[k o s, s'] = M_k[s, s'] G_a(k)[o, s']``,
     and ``weights[k o, a]``, which holds ``kappa_k`` where group ``k`` belongs
     to action ``a`` and 0 elsewhere, so one product with it sums each action's
-    terms. It also keeps the back-projection of the last value function it was
-    asked for (see :meth:`projection`), which every backup against that value
-    function reads.
+    terms. It also keeps, for the last value function it was asked about, that
+    function's back-projection (see :meth:`projection`) and its values on the
+    beliefs (:meth:`values`), which every backup and pass against it read.
     """
 
     def __init__(self, model, bank: SampleBank):
@@ -217,17 +216,21 @@ class BackupCache:
         # weights[k o, a]: kappa_k on the columns of action a's groups, else 0.
         self.weights = np.repeat(np.concatenate(self.kappa)[:, None] * (
             group_action[:, None] == np.arange(model.n_actions)), model.n_observations, axis=0)
-        self._projection = (None, None)
+        self.ko = np.arange(len(self.weights))
+        self._kept = (None,)
 
     def projection(self, vf: ValueFunction) -> np.ndarray:
-        """``proj[v, k o, s] = sum_s' back[k o s, s'] alpha_v[s']`` for ``vf``, one
-        C-contiguous product built once and kept in one slot keyed by ``vf``
-        itself (held, so its id cannot pass to another value function)."""
-        if self._projection[0] is not vf:
-            n_states = self.back.shape[1]
-            proj = (vf.matrix @ self.back.T).reshape(len(vf), len(self.weights), n_states)
-            self._projection = (vf, proj)
-        return self._projection[1]
+        """``proj[v, k o, s] = sum_s' back[k o s, s'] alpha_v[s']``, C-contiguous."""
+        # One slot, keyed by ``vf`` itself (held, so its id cannot pass to another).
+        if self._kept[0] is not vf:
+            proj = (vf.matrix @ self.back.T).reshape(len(vf), len(self.ko), self.back.shape[1])
+            self._kept = (vf, proj, vf.values_at(self.beliefs))
+        return self._kept[1]
+
+    def values(self, vf: ValueFunction) -> np.ndarray:
+        """``vf.values_at(beliefs)``, kept with :meth:`projection`."""
+        self.projection(vf)
+        return self._kept[2]
 
 
 # Elements of the largest block one chunk of a batched backup materializes:
@@ -244,38 +247,45 @@ BACKUP_CHUNK_ELEMENTS = 1 << 17
 SCREEN_SLACK = 1e-9
 
 
-def _backup_stages(model, vf: ValueFunction, beliefs: np.ndarray, cache: BackupCache,
-                   floor: np.ndarray):
-    """Return ``(value, action, rows, vectors)``: per row, the best admissible
-    action and its value ``xi . R_a + sum_k kappa_k sum_o max_v (xi @ proj)``;
-    then the [r, s] alpha vectors of the rows whose value exceeds ``floor``,
-    gathered from the winning ``proj[v, k o]`` of the row's action."""
-    beliefs = np.asarray(beliefs, dtype=float)
-    # inadmissible[b, a]: some state in belief b's support forbids action a.
-    inadmissible = ((beliefs > 0)[:, :, None] & ~model.admissible[None]).any(axis=1)
+def _score(model, xi: np.ndarray, proj: np.ndarray, cache: BackupCache):
+    """Stage 1 for [r, s] beliefs: ``scores[r, v, k o] = xi . proj[v, k o]`` and action
+    values ``q[r, a] = xi . R_a + sum_k kappa_k sum_o max_v scores`` (-inf if inadmissible)."""
+    inadmissible = (xi > 0) @ ~model.admissible  # [r, a]
     if inadmissible.all(axis=1).any():
         raise ValueError("a belief's support has no commonly admissible action")
+    scores = (xi @ proj.reshape(-1, proj.shape[2]).T).reshape(len(xi), *proj.shape[:2])
+    q = xi @ cache.stage_reward + scores.max(axis=1) @ cache.weights
+    q[inadmissible] = -np.inf
+    return scores, q
+
+
+def _assemble(proj: np.ndarray, scores: np.ndarray, best: np.ndarray, cache: BackupCache):
+    """Stage 2: the [r, s] alpha vectors of actions ``best[r]``, gathered from the
+    ``proj[v, k o]`` that win each row's ``scores[r, v, k o]``."""
+    gathered = proj.reshape(-1, proj.shape[2]).take(  # [r, k o, s]
+        scores.argmax(axis=1) * len(cache.ko) + cache.ko, axis=0)
+    return cache.stage_reward[:, best].T + np.einsum("rk,rks->rs", cache.weights[:, best].T,
+                                                     gathered)
+
+
+def _backup_stages(model, vf: ValueFunction, beliefs: np.ndarray, cache: BackupCache,
+                   floor: np.ndarray):
+    """Return ``(value, action, rows, vectors)``: each row's best admissible action
+    and its value, then the [r, s] alpha vectors of the rows whose value exceeds ``floor``."""
+    beliefs = np.asarray(beliefs, dtype=float)
     proj = cache.projection(vf)  # [v, k o, s]
     n_v, n_ko, n_states = proj.shape
-    proj_flat = proj.reshape(n_v * n_ko, n_states)
-    value = np.empty(len(beliefs))
-    action = np.empty(len(beliefs), dtype=int)
+    value, action = np.empty(len(beliefs)), np.empty(len(beliefs), dtype=int)
     rows, vectors = [np.empty(0, dtype=int)], [np.empty((0, n_states))]
     chunk = max(1, BACKUP_CHUNK_ELEMENTS // max(n_ko * max(n_v, n_states), 1))
     for lo in range(0, len(beliefs), chunk):
-        xi = beliefs[lo:lo + chunk]
-        scores = (xi @ proj_flat.T).reshape(len(xi), n_v, n_ko)
-        q = xi @ cache.stage_reward + scores.max(axis=1) @ cache.weights  # [b, a]
-        q[inadmissible[lo:lo + chunk]] = -np.inf
+        scores, q = _score(model, beliefs[lo:lo + chunk], proj, cache)
         action[lo:lo + chunk] = best = q.argmax(axis=1)  # ties go to the lowest action
-        value[lo:lo + chunk] = q[np.arange(len(xi)), best]
+        value[lo:lo + chunk] = q[np.arange(len(q)), best]
         if (nan := np.isnan(value[lo:lo + chunk])).any():
             raise ValueError(f"the backup value of belief row {lo + nan.argmax()} is NaN")
         need = np.flatnonzero(value[lo:lo + chunk] > floor[lo:lo + chunk])
-        gathered = proj[scores[need].argmax(axis=1), np.arange(n_ko)]  # [r, k o, s]
-        chosen = best[need]
-        vectors.append(cache.stage_reward[:, chosen].T
-                       + np.einsum("rk,rks->rs", cache.weights[:, chosen].T, gathered))
+        vectors.append(_assemble(proj, scores[need], best[need], cache))
         rows.append(lo + need)
     return value, action, np.concatenate(rows), np.concatenate(vectors)
 
@@ -286,29 +296,33 @@ def backup_beliefs(model, vf: ValueFunction, beliefs: np.ndarray, cache: BackupC
     Returns ``(values, actions)``: the [n, s] backed-up alpha vectors and the
     [n] actions that produced them. Each row maximizes over the actions
     admissible in every state of its support, with ties going to the lowest
-    action. The kernel runs in two stages over the cache's projection of
-    ``vf``: stage 1 scores every action from ``xi @ proj`` and picks the best;
-    stage 2 assembles only that action's vector. Beliefs are processed in
-    chunks so the score tensor stays small.
-    """
+    action. Beliefs are processed in chunks so the score tensor stays small."""
     _, actions, _, values = _backup_stages(model, vf, beliefs, cache,
                                            np.full(len(beliefs), -np.inf))
     return values, actions
 
 
 def backup(model, vf: ValueFunction, cache: BackupCache, belief):
-    """One Bellman backup at ``belief`` using the sampled-time estimator."""
-    values, actions = backup_beliefs(model, vf, np.asarray(belief, dtype=float)[None], cache)
-    return AlphaVector(values[0], int(actions[0]))
+    """One Bellman backup at ``belief``: the one-row case of :func:`backup_beliefs`."""
+    xi = np.asarray(belief, dtype=float)[None]
+    proj = cache.projection(vf)
+    scores, q = _score(model, xi, proj, cache)
+    best = q.argmax(axis=1)
+    if math.isnan(q[0, best[0]]):
+        raise ValueError("the backup value of belief row 0 is NaN")
+    return AlphaVector(_assemble(proj, scores, best, cache)[0], int(best[0]))
 
 
 def _distinct(vectors: np.ndarray) -> np.ndarray:
     """Keep mask over the rows of [n, s] ``vectors``: a row is kept unless it lies
     within DUPLICATE_TOL of an earlier kept row."""
-    keep = np.zeros(len(vectors), dtype=bool)
-    for i, vec in enumerate(vectors):
-        keep[i] = not (np.abs(vectors[:i][keep[:i]] - vec).max(axis=1) <= DUPLICATE_TOL).any()
-    return keep
+    near = np.ones((len(vectors), len(vectors)), dtype=bool)
+    for column in vectors.T:  # [n, n] at a time, not [n, n, s]
+        near &= np.abs(column[:, None] - column) <= DUPLICATE_TOL
+    keep = []
+    for row in near.tolist():
+        keep.append(not any(compress(row, keep)))
+    return np.array(keep, dtype=bool)
 
 
 def perseus_update(model, vf: ValueFunction, cache: BackupCache,
@@ -320,25 +334,26 @@ def perseus_update(model, vf: ValueFunction, cache: BackupCache,
     result improves (weakly) at every collected belief.
     """
     belief_mat = cache.beliefs
-    old_values = vf.values_at(belief_mat)
+    old_values = cache.values(vf)
     remaining = np.arange(len(belief_mat))
-    picks = []
+    picks = []  # (vector, action)
 
     while remaining.size:
-        pick = remaining[rng.integers(remaining.size)]
-        xi = belief_mat[pick]
+        j = rng.integers(remaining.size)
+        xi = belief_mat[remaining[j]]
         alpha = backup(model, vf, cache, xi)
-        if float(xi @ alpha.values) < old_values[pick]:
+        pick = alpha.values, alpha.action
+        if float(xi @ alpha.values) < old_values[remaining[j]]:
             best = int(np.argmax(vf.matrix @ xi))
-            alpha = AlphaVector(vf.matrix[best], int(vf.actions[best]))
-        improved = belief_mat[remaining] @ alpha.values >= old_values[remaining]
+            pick = vf.matrix[best], int(vf.actions[best])
+        improved = belief_mat.take(remaining, axis=0) @ pick[0] >= old_values.take(remaining)
         # The picked belief is always settled (the guard above keeps its best
         # old vector), even if float summation order makes the sweep miss it.
-        improved |= remaining == pick
+        improved[j] = True
         remaining = remaining[~improved]
-        picks.append(alpha)
-    keep = _distinct(np.stack([alpha.values for alpha in picks]))
-    return ValueFunction([alpha for alpha, kept in zip(picks, keep) if kept])
+        picks.append(pick)
+    keep = _distinct(np.array([vector for vector, _ in picks]))
+    return ValueFunction([AlphaVector(*picks[i]) for i in np.flatnonzero(keep)])
 
 
 @dataclass
@@ -370,7 +385,7 @@ def _bellman_sweep(model, vf: ValueFunction, cache: BackupCache, epsilon: float)
     certifies (or refutes) stability under backups at all of B.
     """
     belief_mat = cache.beliefs
-    old = vf.values_at(belief_mat)
+    old = cache.values(vf)
     slack = SCREEN_SLACK * (np.abs(cache.stage_reward).max() + np.abs(vf.matrix).max())
     _, actions, rows, values = _backup_stages(model, vf, belief_mat, cache,
                                               old + epsilon - slack)
@@ -399,13 +414,12 @@ def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = No
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     rng = np.random.default_rng(seed)
     vf = v0 if v0 is not None else initial_value_function(model, bank)
-    belief_mat = cache.beliefs
-    values = vf.values_at(belief_mat)
+    values = cache.values(vf)
 
     result = SolveResult(value_function=vf)
     for iteration in range(1, max_iters + 1):
         vf = perseus_update(model, vf, cache, rng)
-        new_values = vf.values_at(belief_mat)
+        new_values = cache.values(vf)
         diffs = new_values - values
         record = IterationRecord(
             iteration=iteration,
@@ -419,7 +433,7 @@ def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = No
             improving = _bellman_sweep(model, vf, cache, epsilon)
             if improving:
                 vf = ValueFunction([*vf, *improving])
-                values = vf.values_at(belief_mat)
+                values = cache.values(vf)
                 record.residual = float(np.max(values - new_values))
                 record.n_vectors = len(vf)
             else:
@@ -451,11 +465,9 @@ def save_policy(result: SolveResult, model, path) -> None:
     doc = {
         "model_hash": model_hash(model),
         "converged": result.converged,
-        "vectors": [
-            {"action": model.actions[v.action], "values": v.values.tolist()}
-            for v in result.value_function
-        ],
-        "trace": [asdict(rec) for rec in result.trace],
+        "vectors": [{"action": model.actions[a], "values": row} for a, row in zip(
+            result.value_function.actions.tolist(), result.value_function.matrix.tolist())],
+        "trace": [dict(vars(rec)) for rec in result.trace],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)

@@ -223,3 +223,37 @@ def generation_collect(model, n, seed):
             beliefs.append(update_with_time(model, xi, a, tau, o))
         origins.extend(keys)
     return beliefs, origins
+
+
+def reference_perseus_update(model, vf, cache, rng):
+    """The randomized pass with one full batched backup per pick.
+
+    Each pick is backed up as a one-row ``backup_beliefs`` call, kept as an
+    ``AlphaVector`` (the best old vector where the backup does not improve its
+    belief), and the picks are deduplicated one row at a time against the
+    rows kept before it. The draws, tests and tie rules are those of
+    ``perseus_update``, which must return the same matrix and actions.
+    """
+    from posmdp.solver import DUPLICATE_TOL, AlphaVector, ValueFunction, backup_beliefs
+
+    belief_mat = cache.beliefs
+    old_values = vf.values_at(belief_mat)
+    remaining = np.arange(len(belief_mat))
+    picks = []
+    while remaining.size:
+        pick = remaining[rng.integers(remaining.size)]
+        xi = belief_mat[pick]
+        values, actions = backup_beliefs(model, vf, xi[None], cache)
+        alpha = AlphaVector(values[0], int(actions[0]))
+        if float(xi @ alpha.values) < old_values[pick]:
+            best = int(np.argmax(vf.matrix @ xi))
+            alpha = AlphaVector(vf.matrix[best], int(vf.actions[best]))
+        improved = belief_mat[remaining] @ alpha.values >= old_values[remaining]
+        improved |= remaining == pick
+        remaining = remaining[~improved]
+        picks.append(alpha)
+    kept = []
+    for alpha in picks:
+        if not any(np.abs(k.values - alpha.values).max() <= DUPLICATE_TOL for k in kept):
+            kept.append(alpha)
+    return ValueFunction(kept)

@@ -9,12 +9,13 @@ import time
 
 import numpy as np
 import pytest
-from oracles import _density, alpha_given_a_tau_o, brute_force_backup
+from oracles import _density, alpha_given_a_tau_o, brute_force_backup, reference_perseus_update
 
 import posmdp
 from posmdp.model import ModelFormatError
 from posmdp.sampler import SampleBank, collect, mixture_density
 from posmdp.solver import (
+    DUPLICATE_TOL,
     SCREEN_SLACK,
     AlphaVector,
     BackupCache,
@@ -23,6 +24,7 @@ from posmdp.solver import (
     ValueFunction,
     _backup_stages,
     _bellman_sweep,
+    _distinct,
     backup,
     backup_beliefs,
     conservative_value_function,
@@ -347,6 +349,9 @@ class TestProjectionOperator:
         # that row rather than index an empty result.
         with pytest.raises(ValueError, match=r"belief row \d+ is NaN"):
             solve(bus_model, bank, v0=constant_value_function(bus_model, 1.0))
+        with pytest.raises(ValueError, match=r"belief row \d+ is NaN"):
+            backup(bus_model, constant_value_function(bus_model, 1.0), cache,
+                   bus_model.initial_belief)
 
 
 def loop_sweep(model, vf, bank, cache, epsilon):
@@ -454,12 +459,58 @@ class TestBatchedSweep:
         m = random_model_factory(rng)
         m = dataclasses.replace(m, admissible=np.array([[True, False], [False, True],
                                                         [True, True]]))
-        bank = collect(m, 5, seed=0)
-        with pytest.raises(ValueError):
-            backup(m, constant_value_function(m, 0.0), BackupCache(m, bank), [0.5, 0.5, 0.0])
+        cache = BackupCache(m, collect(m, 5, seed=0))
+        vf = constant_value_function(m, 0.0)
+        with pytest.raises(ValueError, match="no commonly admissible action"):
+            backup(m, vf, cache, [0.5, 0.5, 0.0])
+        with pytest.raises(ValueError, match="no commonly admissible action"):
+            backup_beliefs(m, vf, np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]), cache)
+        assert backup(m, vf, cache, [0.5, 0.0, 0.5]).action == 0
+
+
+class TestOneRowBackup:
+    @pytest.mark.parametrize("name, size", [("maintenance", 150), ("bus", 150)])
+    def test_matches_each_row_of_the_batch(self, name, size, maintenance_model, bus_model):
+        m = maintenance_model if name == "maintenance" else bus_model
+        cache = BackupCache(m, collect(m, size, seed=8))
+        vf = conservative_value_function(m)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            vf = perseus_update(m, vf, cache, rng)
+        values, actions = backup_beliefs(m, vf, cache.beliefs, cache)
+        for i, xi in enumerate(cache.beliefs):
+            alpha = backup(m, vf, cache, xi)
+            np.testing.assert_array_equal(alpha.values, values[i])
+            assert alpha.action == actions[i]
+
+
+class TestDistinct:
+    def test_a_row_near_only_a_dropped_row_is_kept(self):
+        a = np.array([0.0, 1.0])
+        b = a + 0.6 * DUPLICATE_TOL
+        c = b + 0.6 * DUPLICATE_TOL
+        assert np.abs(c - a).max() > DUPLICATE_TOL
+        np.testing.assert_array_equal(_distinct(np.stack([a, b, c])), [True, False, True])
+        np.testing.assert_array_equal(_distinct(np.stack([a, c, b])), [True, True, False])
+
+    def test_one_row_and_no_rows(self):
+        np.testing.assert_array_equal(_distinct(np.ones((1, 3))), [True])
+        assert _distinct(np.empty((0, 3))).shape == (0,)
 
 
 class TestPerseusUpdate:
+    @pytest.mark.parametrize("name, size", [("maintenance", 200), ("bus", 300)])
+    def test_matches_the_reference_pass(self, name, size, maintenance_model, bus_model):
+        m = maintenance_model if name == "maintenance" else bus_model
+        cache = BackupCache(m, collect(m, size, seed=5))
+        vf = ref = conservative_value_function(m)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(5):
+            vf = perseus_update(m, vf, cache, rng)
+            ref = reference_perseus_update(m, ref, cache, ref_rng)
+            np.testing.assert_array_equal(vf.matrix, ref.matrix)
+            np.testing.assert_array_equal(vf.actions, ref.actions)
+
     def test_weak_improvement_everywhere(self, rng, random_model_factory):
         m = random_model_factory(rng)
         bank = collect(m, 30, seed=3)
