@@ -29,7 +29,6 @@ from .model import (
 from .sampler import (
     SampleBank,
     collect,
-    load_bank,
     mixture_density,
     save_bank,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "constant_value_function",
     "evaluate",
     "initial_value_function",
-    "load_bank",
     "load_model",
     "load_policy",
     "mixed_density",

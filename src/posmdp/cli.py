@@ -29,8 +29,7 @@ EXIT_NOT_CONVERGED = 2
 def _load_model(args):
     name = args.model
     if name in model_mod.BUILTIN_MODELS:
-        bins = getattr(args, "observation_bins", 100)
-        return model_mod.build_builtin(name, bins)
+        return model_mod.build_builtin(name, args.observation_bins)
     return model_mod.load_model(name)
 
 
@@ -156,7 +155,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    model = _load_model(args)  # file loading already validates; builtins may not
+    # A file is parsed without load_model's check, which raises instead of listing.
+    model = (_load_model(args) if args.model in model_mod.BUILTIN_MODELS
+             else model_mod._read_model(args.model))
     report = model_mod.validate(model)
     print(f"{len(report.violations)} violations")
     for violation in report.violations:

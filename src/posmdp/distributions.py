@@ -271,20 +271,16 @@ def atom_mask(tau, atom_values):
     return np.isin(tau, np.fromiter(atom_values, dtype=float))
 
 
-def mixed_density(dist, tau, atom_values=(), at_atom=None):
+def mixed_density(dist, tau, at_atom):
     """Density of ``dist`` at ``tau`` w.r.t. Lebesgue + counting measure.
 
-    ``dist`` is one law or a :class:`SojournFamily`. ``atom_values`` is the
-    set of atom locations present in the surrounding model: continuous
-    densities evaluate to zero exactly at those points, so that mixtures of
-    fixed and random sojourn times stay well-defined. Callers that evaluate
-    many laws at the same times pass ``at_atom = atom_mask(tau, atom_values)``
-    instead, so that the test runs once.
+    ``dist`` is one law or a :class:`SojournFamily`. ``at_atom``, shaped like
+    ``tau``, marks the times that are atom locations of the surrounding model
+    (:func:`atom_mask`): continuous densities evaluate to zero exactly there,
+    so that mixtures of fixed and random sojourn times stay well-defined.
     """
     if dist.atom is not None:
         return dist.pdf(tau)
-    if at_atom is None:
-        at_atom = atom_mask(tau, atom_values)
     out = np.where(at_atom, 0.0, dist.pdf(tau))
     return out if out.ndim else float(out)
 

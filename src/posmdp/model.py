@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -227,20 +227,15 @@ def validate(model: PosmdpModel) -> ValidationReport:
         if not np.all(np.isfinite(getattr(model, name))):
             v.append(f"{name} has non-finite entries")
 
-    for s in range(model.n_states):
-        for a in range(model.n_actions):
-            row = model.transition[s, a]
+    for kind, axes, table in (("transition", ("s", "a"), model.transition),
+                              ("observation", ("a", "s'"), model.observation_kernel)):
+        for index in np.ndindex(table.shape[:2]):
+            row = table[index]
+            where = f"{kind} row ({', '.join(f'{n}={i}' for n, i in zip(axes, index))})"
             if np.any(row < 0):
-                v.append(f"transition row (s={s}, a={a}) has negative entries")
+                v.append(f"{where} has negative entries")
             elif abs(row.sum() - 1.0) > ROW_SUM_TOL:
-                v.append(f"transition row (s={s}, a={a}) sums to {row.sum():.12g}, not 1")
-    for a in range(model.n_actions):
-        for s2 in range(model.n_states):
-            row = model.observation_kernel[a, s2]
-            if np.any(row < 0):
-                v.append(f"observation row (a={a}, s'={s2}) has negative entries")
-            elif abs(row.sum() - 1.0) > ROW_SUM_TOL:
-                v.append(f"observation row (a={a}, s'={s2}) sums to {row.sum():.12g}, not 1")
+                v.append(f"{where} sums to {row.sum():.12g}, not 1")
 
     missing = (model.transition > 0) & (model.sojourn_cell[0] < 0)
     for s, a, s2 in zip(*np.nonzero(missing)):
@@ -493,24 +488,24 @@ _TOP_LEVEL_KEYS = {
 }
 
 
+# Per sojourn law class: its file tag and the file keys of its fields, in order.
+_SOJOURN_TAGS = {InverseGaussian: ("inverse_gaussian", ("mu", "lambda")),
+                 DeterministicAtom: ("atom", ("c0",)),
+                 TruncatedGaussian: ("truncated_gaussian", ("mu", "sigma"))}
+
+
 def _dist_to_dict(dist: SojournDistribution) -> dict:
-    if isinstance(dist, InverseGaussian):
-        return {"type": "inverse_gaussian", "mu": dist.mu, "lambda": dist.lam}
-    if isinstance(dist, DeterministicAtom):
-        return {"type": "atom", "c0": dist.c0}
-    if isinstance(dist, TruncatedGaussian):
-        return {"type": "truncated_gaussian", "mu": dist.mu, "sigma": dist.sigma}
+    for law, (tag, keys) in _SOJOURN_TAGS.items():
+        if isinstance(dist, law):
+            return {"type": tag, **dict(zip(keys, astuple(dist)))}
     raise TypeError(f"unsupported sojourn distribution {type(dist).__name__}")
 
 
 def _dist_from_dict(doc: dict) -> SojournDistribution:
     kind = doc.get("type")
-    if kind == "inverse_gaussian":
-        return InverseGaussian(mu=doc["mu"], lam=doc["lambda"])
-    if kind == "atom":
-        return DeterministicAtom(c0=doc["c0"])
-    if kind == "truncated_gaussian":
-        return TruncatedGaussian(mu=doc["mu"], sigma=doc["sigma"])
+    for law, (tag, keys) in _SOJOURN_TAGS.items():
+        if kind == tag:
+            return law(*(doc[key] for key in keys))
     raise ModelFormatError(f"unknown sojourn distribution tag {kind!r}")
 
 
@@ -658,6 +653,15 @@ def _kernel_index(rec: dict, name: str, size: int) -> int:
 
 def load_model(source) -> PosmdpModel:
     """Load and validate a model from a path or a file object."""
+    model = _read_model(source)
+    report = validate(model)
+    if not report.ok:
+        raise ModelFormatError("model fails validation: " + "; ".join(report.violations))
+    return model
+
+
+def _read_model(source) -> PosmdpModel:
+    """Parse a model from a path or a file object, without :func:`validate`."""
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -668,11 +672,7 @@ def load_model(source) -> PosmdpModel:
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                                f"{exc.msg}") from exc
-    model = model_from_dict(doc)
-    report = validate(model)
-    if not report.ok:
-        raise ModelFormatError("model fails validation: " + "; ".join(report.violations))
-    return model
+    return model_from_dict(doc)
 
 
 def save_model(model: PosmdpModel, path) -> None:

@@ -23,8 +23,7 @@ from .distributions import draw_rows
 # Kept as names of this module: bench/tracer.py wraps the filter here.
 from .belief import observation_time_likelihood, update_with_time  # noqa: F401
 
-__all__ = ["SampleBank", "collect", "mixture_density", "bank_to_dict", "bank_from_dict",
-           "save_bank", "load_bank"]
+__all__ = ["SampleBank", "collect", "mixture_density", "bank_to_dict", "save_bank"]
 
 
 @dataclass(frozen=True)
@@ -117,22 +116,8 @@ def bank_to_dict(bank: SampleBank) -> dict:
     }
 
 
-def bank_from_dict(doc: dict) -> SampleBank:
-    return SampleBank(
-        beliefs=np.asarray(doc["beliefs"], dtype=float),
-        times=np.asarray(doc["times"], dtype=float),
-        origins=np.asarray(doc["origins"], dtype=int).reshape(len(doc["times"]), 3),
-        weights=np.asarray(doc["weights"], dtype=float),
-        seed=doc["seed"],
-    )
-
-
 def save_bank(bank: SampleBank, path) -> None:
+    """Write ``bank`` as JSON, for inspection: the package does not read it back."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(bank_to_dict(bank), fh)
         fh.write("\n")
-
-
-def load_bank(path) -> SampleBank:
-    with open(path, "r", encoding="utf-8") as fh:
-        return bank_from_dict(json.load(fh))

@@ -46,16 +46,12 @@ class HistoryRecord:
     entries: list = field(default_factory=list)  # (action, tau, observation)
     beliefs: list = field(default_factory=list)  # belief after each entry
     rewards: list = field(default_factory=list)  # discounted contribution per entry
-    cumulative_time: float = 0.0
-    cumulative_discounted_reward: float = 0.0
 
     def append(self, action: int, tau: float, observation: int,
                belief: np.ndarray, discounted_reward: float) -> None:
         self.entries.append((action, tau, observation))
         self.beliefs.append(np.asarray(belief, dtype=float))
         self.rewards.append(discounted_reward)
-        self.cumulative_time += tau
-        self.cumulative_discounted_reward += discounted_reward
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -104,7 +100,7 @@ def run_episodes(model, value_function, xi0, epochs: int, rngs, histories=None) 
     for first in range(0, epochs, block):
         draws = np.stack([rng.random((min(block, epochs - first), 4)) for rng in rngs], axis=1)
         for u in draws:  # one epoch: [E, 4]
-            actions = value_function.actions[np.argmax(xi @ value_function.matrix.T, axis=1)]
+            actions = value_function.action_at(xi)
             states, taus, observations, rewards, decay = _transition(model, states, actions, u)
             for a in np.unique(actions):
                 rows = np.flatnonzero(actions == a)
@@ -121,8 +117,8 @@ def run_episodes(model, value_function, xi0, epochs: int, rngs, histories=None) 
 def rollout(model, value_function, xi0, epochs: int, rng: np.random.Generator) -> HistoryRecord:
     """Run ``epochs`` decision stages greedily under ``value_function``.
 
-    The one-episode case of :func:`run_episodes`. Returns the history; its
-    cumulative discounted reward is the return estimate.
+    The one-episode case of :func:`run_episodes`. Returns the history; the
+    sum of its ``rewards`` is the return estimate.
     """
     history = HistoryRecord()
     run_episodes(model, value_function, xi0, epochs, [rng], [history])

@@ -97,9 +97,10 @@ class ValueFunction:
     def value_at(self, belief) -> float:
         return float(np.max(self.matrix @ np.asarray(belief, dtype=float)))
 
-    def action_at(self, belief) -> int:
-        # Ties break to the lowest vector index (argmax returns the first max).
-        return int(self.actions[np.argmax(self.matrix @ np.asarray(belief, dtype=float))])
+    def action_at(self, belief):
+        """Greedy action at one belief, or per row of an [n, s] block; ties go to
+        the lowest vector index (argmax returns the first max)."""
+        return self.actions[np.argmax(np.asarray(belief, dtype=float) @ self.matrix.T, axis=-1)]
 
     def values_at(self, belief_matrix: np.ndarray) -> np.ndarray:
         return (np.asarray(belief_matrix) @ self.matrix.T).max(axis=1)
@@ -122,17 +123,10 @@ def initial_value_function(model, bank: SampleBank) -> ValueFunction:
     """
     if bank.n_samples == 0:
         return conservative_value_function(model)
-    m_min = float(compute_stage_reward(model).values.min())
-    if m_min == 0.0:
-        return constant_value_function(model, 0.0)
-    ratios = np.exp(-model.beta * bank.times) / mixture_density(bank, model, bank.times)
-    lam = float(ratios.min() if m_min > 0 else ratios.max())
-    if lam >= 1.0:
-        raise InitialValueError(
-            f"extreme importance ratio {lam:.6g} >= 1; the closed-form initial bound "
-            "does not apply. Pass an explicit pessimistic constant_value_function instead."
-        )
-    return constant_value_function(model, m_min / (1.0 - lam))
+    return _uniform_bound(
+        model, lambda: np.exp(-model.beta * bank.times) / mixture_density(bank, model, bank.times),
+        "extreme importance ratio {lam:.6g} >= 1; the closed-form initial bound does not "
+        "apply. Pass an explicit pessimistic constant_value_function instead.")
 
 
 def conservative_value_function(model) -> ValueFunction:
@@ -142,16 +136,21 @@ def conservative_value_function(model) -> ValueFunction:
     beta > 0), at the cost of being looser than the sample-based bound of
     :func:`initial_value_function`.
     """
+    return _uniform_bound(
+        model, lambda: [d.expected_discount(model.beta) for d in set(model.sojourn.values())],
+        "expected per-stage discount reaches 1 (beta = 0 with nonzero rewards); "
+        "no finite uniform bound exists.")
+
+
+def _uniform_bound(model, discounts, message: str) -> ValueFunction:
+    """The bound of :func:`initial_value_function`, ``lambda`` taken from ``discounts()``,
+    which is not called when M = 0 (the bound is then 0); ``message`` takes ``lam``."""
     m_min = float(compute_stage_reward(model).values.min())
     if m_min == 0.0:
         return constant_value_function(model, 0.0)
-    discounts = [d.expected_discount(model.beta) for d in set(model.sojourn.values())]
-    lam = min(discounts) if m_min > 0 else max(discounts)
+    lam = float(np.min(discounts()) if m_min > 0 else np.max(discounts()))
     if lam >= 1.0:
-        raise InitialValueError(
-            "expected per-stage discount reaches 1 (beta = 0 with nonzero rewards); "
-            "no finite uniform bound exists."
-        )
+        raise InitialValueError(message.format(lam=lam))
     return constant_value_function(model, m_min / (1.0 - lam))
 
 

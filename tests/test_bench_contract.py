@@ -58,3 +58,18 @@ def test_hooks_read_a_traced_solve(tracer_module, maintenance_model):
     summary = tracer.summary()
     assert summary["solver.backup"]["calls"] > 0
     assert summary["solver.perseus_update"]["calls"] > 0
+
+
+def test_traced_evaluate_takes_greedy_actions_from_the_value_function(tracer_module,
+                                                                      bus_model):
+    from posmdp import simulator, solver
+
+    vf = solver.constant_value_function(bus_model, 0.0)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        with tracer.root("run"):
+            simulator.evaluate(bus_model, vf, 4, 3, 0)
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["solver.ValueFunction.action_at"]["calls"] > 0

@@ -9,7 +9,6 @@ import pytest
 import posmdp
 from posmdp.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main, simplex_lattice
 from posmdp.model import model_to_dict
-from posmdp.sampler import load_bank
 
 
 class TestValidate:
@@ -25,6 +24,18 @@ class TestValidate:
         path = tmp_path / "bus.json"
         path.write_text(json.dumps(model_to_dict(bus_model)))
         assert main(["validate", str(path)]) == EXIT_OK
+
+    def test_model_file_lists_every_violation(self, bus_model, tmp_path, capsys):
+        doc = model_to_dict(bus_model)
+        doc["transition"][0][0] = [0.5 * p for p in doc["transition"][0][0]]
+        doc["initial_belief"] = [2.0 * p for p in doc["initial_belief"]]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == EXIT_ERROR
+        out = capsys.readouterr().out
+        assert out.splitlines() == ["2 violations",
+                                    "  - transition row (s=0, a=0) sums to 0.5, not 1",
+                                    "  - initial belief sums to 2, not 1"]
 
     def test_missing_file_names_it(self, capsys):
         assert main(["validate", "missing.json"]) == EXIT_ERROR
@@ -61,11 +72,11 @@ class TestCollect:
         code = main(["collect", "maintenance", "--beliefs", "100",
                      "--seed", "5", "--output", str(out)])
         assert code == EXIT_OK
-        bank = load_bank(out)
-        assert len(bank.beliefs) == 100
-        assert bank.n_samples == 99
-        assert bank.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert bank.seed == 5
+        bank = json.loads(out.read_text())
+        assert len(bank["beliefs"]) == 100
+        assert len(bank["times"]) == len(bank["origins"]) == 99
+        assert np.sum(bank["weights"]) == pytest.approx(1.0, abs=1e-12)
+        assert bank["seed"] == 5
 
 
 class TestSolveSimulate:
@@ -221,6 +232,6 @@ class TestArguments:
         code = main(["collect", "maintenance", "--observation-bins", "10",
                      "--beliefs", "30", "--output", str(out)])
         assert code == EXIT_OK
-        bank = load_bank(out)
-        assert all(len(b) == 4 for b in bank.beliefs)
+        bank = json.loads(out.read_text())
+        assert all(len(b) == 4 for b in bank["beliefs"])
         capsys.readouterr()

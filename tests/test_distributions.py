@@ -24,6 +24,7 @@ from posmdp.distributions import (
     DeterministicAtom,
     InverseGaussian,
     TruncatedGaussian,
+    atom_mask,
     draw_rows,
     mixed_density,
 )
@@ -284,19 +285,19 @@ def test_row_search_never_draws_a_zero_probability_index():
 class TestMixedDensity:
     def test_atom_passthrough(self):
         atom = DeterministicAtom(30.0)
-        assert mixed_density(atom, 30.0, atom_values={30.0}) == 1.0
-        assert mixed_density(atom, 12.0, atom_values={30.0, 12.0}) == 0.0
+        assert mixed_density(atom, 30.0, atom_mask(30.0, {30.0})) == 1.0
+        assert mixed_density(atom, 12.0, atom_mask(12.0, {30.0, 12.0})) == 0.0
 
     def test_continuous_zeroed_at_atoms(self):
         dist = InverseGaussian(5.0, 250.0)
         assert dist.pdf(5.0) > 0.5
-        assert mixed_density(dist, 5.0, atom_values={5.0}) == 0.0
-        assert mixed_density(dist, 5.0, atom_values={30.0}) == dist.pdf(5.0)
+        assert mixed_density(dist, 5.0, atom_mask(5.0, {5.0})) == 0.0
+        assert mixed_density(dist, 5.0, atom_mask(5.0, {30.0})) == dist.pdf(5.0)
 
     def test_vectorized(self):
         dist = InverseGaussian(5.0, 250.0)
         taus = np.array([4.0, 5.0, 6.0])
-        out = mixed_density(dist, taus, atom_values={5.0})
+        out = mixed_density(dist, taus, atom_mask(taus, {5.0}))
         assert out[1] == 0.0
         assert out[0] == dist.pdf(4.0) and out[2] == dist.pdf(6.0)
 

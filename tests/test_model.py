@@ -266,9 +266,9 @@ class TestSojournLaws:
         calls = []
         original = posmdp.model.mixed_density
 
-        def counted(dist, tau, atom_values=(), at_atom=None):
+        def counted(dist, tau, at_atom):
             calls.append(dist)
-            return original(dist, tau, atom_values, at_atom)
+            return original(dist, tau, at_atom)
 
         monkeypatch.setattr(posmdp.model, "mixed_density", counted)
         assert [len(families) for families in bus_model.sojourn_families] == [2, 1]

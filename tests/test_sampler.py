@@ -1,6 +1,7 @@
 """Sample-collection and importance-sampling proposal checks."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,10 +11,8 @@ from scipy import stats
 import posmdp
 from posmdp.sampler import (
     SampleBank,
-    bank_from_dict,
     bank_to_dict,
     collect,
-    load_bank,
     mixture_density,
     save_bank,
 )
@@ -223,20 +222,15 @@ class TestImportanceRatio:
 
 
 class TestSerialization:
-    def test_round_trip_dict(self, maintenance_model):
-        bank = collect(maintenance_model, 40, seed=6)
-        clone = bank_from_dict(bank_to_dict(bank))
-        np.testing.assert_array_equal(clone.times, bank.times)
-        np.testing.assert_array_equal(clone.origins, bank.origins)
-        np.testing.assert_allclose(clone.weights, bank.weights)
-        assert clone.seed == bank.seed
-        for x, y in zip(clone.beliefs, bank.beliefs):
-            np.testing.assert_array_equal(x, y)
-
-    def test_round_trip_file(self, maintenance_model, tmp_path):
+    def test_saved_file_is_the_bank_document(self, maintenance_model, tmp_path):
         bank = collect(maintenance_model, 40, seed=6)
         path = tmp_path / "bank.json"
         save_bank(bank, path)
-        clone = load_bank(path)
-        np.testing.assert_array_equal(clone.times, bank.times)
-        assert clone.n_samples == bank.n_samples
+        doc = json.loads(path.read_text())
+        assert doc == bank_to_dict(bank)
+        # Every array is written in full, so the file holds the bank exactly.
+        np.testing.assert_array_equal(doc["beliefs"], bank.beliefs)
+        np.testing.assert_array_equal(doc["times"], bank.times)
+        np.testing.assert_array_equal(doc["origins"], bank.origins)
+        np.testing.assert_array_equal(doc["weights"], bank.weights)
+        assert doc["seed"] == bank.seed

@@ -107,8 +107,7 @@ class TestRollout:
         history = rollout(maintenance_model, vf, maintenance_model.initial_belief,
                           1, rng)
         assert len(history) == 1
-        assert history.cumulative_time == 78.7433
-        assert history.cumulative_discounted_reward == history.rewards[0]
+        assert [tau for _, tau, _ in history.entries] == [78.7433]
 
     def test_epochs_must_be_positive(self, maintenance_model, rng):
         vf = constant_value_function(maintenance_model, 0.0)
@@ -124,7 +123,7 @@ class TestRollout:
         taus = [tau for _, tau, _ in history.entries]
         assert taus == [30.0, 455.0, 30.0, 455.0]
         expected = 100.0 * math.exp(-0.02 * 30) + 100.0 * math.exp(-0.02 * 515)
-        assert history.cumulative_discounted_reward == pytest.approx(expected, abs=1e-9)
+        assert sum(history.rewards) == pytest.approx(expected, abs=1e-9)
 
     def test_belief_tracking_is_consistent(self, maintenance_model, rng):
         from posmdp.belief import update_with_time
@@ -204,8 +203,8 @@ class TestLockstep:
         streams = np.random.SeedSequence(9).spawn(12)
         batch = run_episodes(bus_model, vf, bus_model.initial_belief, 15,
                              [np.random.default_rng(s) for s in streams])
-        alone = [rollout(bus_model, vf, bus_model.initial_belief, 15,
-                         np.random.default_rng(s)).cumulative_discounted_reward
+        alone = [sum(rollout(bus_model, vf, bus_model.initial_belief, 15,
+                             np.random.default_rng(s)).rewards)
                  for s in streams[:3]]
         np.testing.assert_allclose(batch[:3], alone, rtol=1e-12)
 
@@ -294,14 +293,14 @@ class TestTrajectoryFile:
         # Beliefs in the file reparse to the recorded values exactly.
         parsed = np.array([float(x) for x in rows[2][4:19]])
         np.testing.assert_array_equal(parsed, history.beliefs[1])
-        assert float(rows[3][-1]) == pytest.approx(
-            history.cumulative_discounted_reward
-        )
+        assert float(rows[3][-1]) == pytest.approx(sum(history.rewards))
 
     def test_history_record_accumulates(self):
         h = HistoryRecord()
         h.append(0, 2.0, 1, np.array([1.0, 0.0]), 5.0)
         h.append(1, 3.0, 0, np.array([0.5, 0.5]), -1.0)
         assert len(h) == 2
-        assert h.cumulative_time == 5.0
-        assert h.cumulative_discounted_reward == 4.0
+        assert h.entries == [(0, 2.0, 1), (1, 3.0, 0)]
+        assert h.rewards == [5.0, -1.0]
+        assert sum(tau for _, tau, _ in h.entries) == 5.0
+        assert sum(h.rewards) == 4.0

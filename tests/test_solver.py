@@ -67,7 +67,12 @@ class TestInitialValueFunction:
         vf = initial_value_function(m, bank)
         np.testing.assert_allclose(vf.matrix, np.full((1, 2), -200.0))
 
-    def test_zero_reward_model(self, rng, random_model_factory):
+    def test_zero_reward_model(self, rng, random_model_factory, bus_model, monkeypatch):
+        # With M = 0 the bound is 0 and D is never computed (bus's worst reward is 0).
+        def unexpected(*args):
+            raise AssertionError("mixture_density called with M = 0")
+
+        monkeypatch.setattr(posmdp.solver, "mixture_density", unexpected)
         m = random_model_factory(rng)
         m = posmdp.PosmdpModel(
             states=m.states, actions=m.actions, observations=m.observations,
@@ -76,8 +81,9 @@ class TestInitialValueFunction:
             lump_reward=np.zeros((3, 2)), rate_reward=np.zeros((3, 2, 3)),
             beta=m.beta, initial_belief=m.initial_belief,
         )
-        vf = initial_value_function(m, collect(m, 5, seed=0))
-        np.testing.assert_allclose(vf.matrix, np.zeros((1, 3)))
+        for model in (m, bus_model):
+            vf = initial_value_function(model, collect(model, 5, seed=0))
+            np.testing.assert_array_equal(vf.matrix, np.zeros((1, model.n_states)))
 
     def test_unbounded_ratio_raises(self, maintenance_model):
         # At an atom sample, the proposal mass is far below the survival
@@ -118,8 +124,23 @@ class TestValueFunction:
         vf = ValueFunction([
             AlphaVector(np.array([1.0, 1.0]), action=1),
             AlphaVector(np.array([1.0, 1.0]), action=0),
+            AlphaVector(np.array([0.0, 2.0]), action=0),
         ])
         assert vf.action_at([0.5, 0.5]) == 1
+        assert isinstance(vf.action_at([0.5, 0.5]), np.integer)
+        block = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])  # ties of 2, 3 and 1 vectors
+        np.testing.assert_array_equal(vf.action_at(block), [1, 1, 0])
+
+    @pytest.mark.parametrize("name, n", [("bus", 300), ("maintenance", 200)])
+    def test_block_matches_one_row_calls(self, name, n, bus_model, maintenance_model):
+        # Rollouts take every episode's greedy action from one block call.
+        model = {"bus": bus_model, "maintenance": maintenance_model}[name]
+        bank = collect(model, n, seed=1)
+        vf = solve(model, bank, v0=conservative_value_function(model), max_iters=30,
+                   seed=1).value_function
+        block = np.vstack([bank.beliefs,
+                           np.random.default_rng(1).dirichlet(np.ones(model.n_states), 200)])
+        np.testing.assert_array_equal(vf.action_at(block), [vf.action_at(b) for b in block])
 
     def test_constant_shift_moves_value_not_action(self, rng):
         vecs = [AlphaVector(rng.normal(size=3), action=i % 2) for i in range(4)]
