@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 __all__ = [
     "InverseGaussian",
@@ -41,6 +41,71 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
+
+# The standard normal's cdf Phi, its log and its quantile, on floats. The
+# quantile is CPython's C code of Wichura's AS241 (Applied Statistics 37, 1988);
+# it rejects p outside (0, 1).
+_ndtri = NormalDist().inv_cdf
+
+
+def _ndtr(x):
+    return 0.5 * math.erfc(-x * _SQRT1_2)
+
+
+def _log_ndtr(x):
+    if x > -1.0:
+        return math.log1p(-_ndtr(-x))
+    if x > -20.0:
+        return math.log(_ndtr(x))
+    # Phi(x) = phi(x) / -x * (1 - 1/x**2 + 3/x**4 - ...): asymptotic, but at
+    # x <= -20 its terms fall about 20-fold per step until the sum stops changing.
+    z, term, total, k = 1.0 / (x * x), 1.0, 1.0, 1
+    while total + term != total:
+        term *= -(2 * k - 1) * z
+        total += term
+        k += 1
+    return -0.5 * x * x - math.log(-x * _SQRT_2PI) + math.log(total)
+
+
+# AS241's numerator and denominator in r - 5, r = sqrt(-log p) > 5, lowest order first.
+_TAIL_NUM = (6.65790464350110377720e+0, 5.46378491116411436990e+0, 1.78482653991729133580e+0,
+             2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+             2.71155556874348757815e-5, 2.01033439929228813265e-7)
+_TAIL_DEN = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
+             1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
+             1.42151175831644588870e-7, 2.04426310338993978564e-15)
+
+
+def _ndtri_exp(y):
+    """Phi^-1(exp(y)) for y < 0; within 2e-15 relative of scipy's down to y = -800.
+
+    The package passes y no lower than about -781: ``log1p(-u1) >= log
+    2**-53``, and a truncated Gaussian whose ``Phi(mu / sigma)`` underflows to
+    0 is rejected on load. Below y = -1000 AS241's tail drifts (6e-14 at
+    -1000, 1.3e-8 at -1e4).
+    """
+    if y >= -math.log(2.0):
+        return -_ndtri(-math.expm1(y))  # 1 - p without cancellation
+    if y >= -25.0:
+        return _ndtri(math.exp(y))
+    r = math.sqrt(-y) - 5.0  # AS241's branch for r > 5, without exp(y) underflowing
+    num = den = 0.0
+    for n, d in zip(reversed(_TAIL_NUM), reversed(_TAIL_DEN)):
+        num, den = num * r + n, den * r + d
+    return -num / den
+
+
+def _elementwise(f):
+    def apply(x):
+        x = np.asarray(x, dtype=float)
+        return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return apply
+
+
+# Array forms, for times and parameters over many cells. (A numpy-vectorized
+# AS241 costs more than this loop at the tens of elements the package passes.)
+ndtr, log_ndtr, ndtri, ndtri_exp = map(_elementwise, (_ndtr, _log_ndtr, _ndtri, _ndtri_exp))
 
 
 def _inverse_gaussian_density(tau, mu, lam):
@@ -201,13 +266,10 @@ class TruncatedGaussian(_SojournLaw):
             raise ValueError(f"truncated Gaussian mean must be finite, got {self.mu}")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError(f"truncated Gaussian std must be positive, got {self.sigma}")
+        # P(X > 0) for the untruncated Gaussian; not a field, so eq and hash skip it.
+        object.__setattr__(self, "_mass", _ndtr(self.mu / self.sigma))
         if self._mass == 0.0:
             raise ValueError(f"truncated Gaussian ({self.mu}, {self.sigma}) has no mass above 0")
-
-    @property
-    def _mass(self) -> float:
-        # P(X > 0) for the untruncated Gaussian.
-        return float(ndtr(self.mu / self.sigma))
 
     @property
     def params(self):
@@ -233,8 +295,8 @@ class TruncatedGaussian(_SojournLaw):
         if beta < 0:
             raise ValueError("discount rate must be nonnegative")
         return math.exp(-beta * self.mu + 0.5 * (beta * self.sigma) ** 2
-                        + log_ndtr((self.mu - beta * self.sigma**2) / self.sigma)
-                        - log_ndtr(self.mu / self.sigma))
+                        + _log_ndtr((self.mu - beta * self.sigma**2) / self.sigma)
+                        - _log_ndtr(self.mu / self.sigma))
 
     def mean(self) -> float:
         a = -self.mu / self.sigma

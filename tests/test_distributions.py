@@ -1,7 +1,8 @@
 """Distribution-level checks against independent references.
 
 Oracle values come from scipy.stats (inverse Gaussian, truncated normal,
-beta) and adaptive quadrature, frozen as literals where noted.
+beta), scipy.special (the normal cdf and quantiles) and adaptive quadrature,
+frozen as literals where noted.
 """
 
 import importlib
@@ -10,13 +11,14 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import posmdp
 from posmdp.distributions import (
@@ -26,7 +28,11 @@ from posmdp.distributions import (
     TruncatedGaussian,
     atom_mask,
     draw_rows,
+    log_ndtr,
     mixed_density,
+    ndtr,
+    ndtri,
+    ndtri_exp,
 )
 
 IG_CASES = [(5.0, 250.0), (10.0, 1000.0), (20.0, 4000.0), (45.0, 20250.0)]
@@ -275,6 +281,83 @@ class TestTimeMaps:
                                       dist.time(u[0], u[1], *dist.params))
 
 
+TINY = np.finfo(float).tiny
+
+
+def assert_within(got, ref, tol):
+    err = np.abs(got - ref)
+    worst = np.argmax(err - tol)
+    assert np.all(err <= tol), f"|{got[worst]!r} - {ref[worst]!r}| > {tol[worst]!r}"
+
+
+class TestGaussianFunctions:
+    """Phi, log Phi and the two normal quantiles against scipy.special."""
+
+    @pytest.mark.parametrize("ours,oracle", [(ndtr, special.ndtr),
+                                             (log_ndtr, special.log_ndtr)])
+    def test_cdf_and_its_log(self, ours, oracle):
+        x = np.concatenate([np.linspace(-38.0, 38.0, 76_001), [-1.0, -20.0, 0.0]])
+        ref = oracle(x)
+        # x**2 is their condition number in x (the argument x / sqrt(2) rounds);
+        # below the smallest normal float only absolute error is defined.
+        assert_within(ours(x), ref, 1e-14 * (1.0 + x * x) * np.abs(ref) + TINY)
+
+    def test_quantile(self):
+        p = np.concatenate([np.logspace(-300, -1, 30_000), np.linspace(0.1, 0.9, 8_001),
+                            1.0 - np.logspace(-1, -16, 15_000)])
+        ref = special.ndtri(p)
+        # Near p = 1/2 the quantile is near 0, where only absolute error means anything.
+        assert_within(ndtri(p), ref, 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+    def test_quantile_of_exp(self):
+        y = np.concatenate([
+            -np.logspace(np.log10(800.0), -320.0, 40_000),  # down to y -> 0-
+            np.log(0.5) + np.arange(-8, 8) * 2.0**-53,  # either side of log 1/2
+            -25.0 + np.arange(-8, 8) * 2.0**-48,  # AS241 switches to its r > 5 branch
+        ])
+        ref = special.ndtri_exp(y)
+        assert_within(ndtri_exp(y), ref, 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+    @given(x=st.floats(-38.4, 37.5))
+    @settings(max_examples=200, deadline=None)
+    def test_quantile_of_exp_inverts_log_cdf(self, x):
+        # Above x = 37.5, log Phi(x) is a subnormal float and loses precision.
+        assert abs(ndtri_exp(log_ndtr(x)) - x) <= 1e-14 * max(1.0, abs(x))
+
+    @pytest.mark.parametrize("dist", [
+        InverseGaussian(5.0, 250.0), InverseGaussian(1e-3, 1e-3), TruncatedGaussian(10.0, 1.5),
+        TruncatedGaussian(-38.4, 1.0), TruncatedGaussian(38.0, 1.0), TruncatedGaussian(-7.0, 0.5),
+    ], ids=repr)
+    def test_time_maps_at_the_generator_ends(self, dist):
+        # The maps as written on scipy.special, at u1 = 0, 2**-53 and 1 - 2**-53.
+        u1, u2 = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]), np.full(4, 0.5)
+        tau = dist.time(u1, u2, *dist.params)
+        if isinstance(dist, InverseGaussian):
+            mu, lam = dist.params
+            mnu = -mu * special.ndtri(0.5 * (1.0 - u1))
+            x = 4.0 * lam * mu * mu / (mnu + np.sqrt(4.0 * mu * lam + mnu * mnu)) ** 2
+            np.testing.assert_allclose(tau, np.where(u2 <= mu / (mu + x), x, mu * mu / x),
+                                       rtol=1e-13)
+        else:
+            mu, sigma, _ = dist.params
+            q = special.ndtri_exp(np.log1p(-np.maximum(u1, 2.0**-53))
+                                  + special.log_ndtr(mu / sigma))
+            ref = np.maximum(mu - sigma * q, TINY)
+            assert_within(tau, ref, 1e-14 * sigma * np.maximum(1.0, np.abs(q)))
+        assert np.all(np.isfinite(tau)) and np.all(tau > 0)
+
+    def test_law_is_rejected_once_its_mass_underflows(self):
+        # libm's erfc runs down through the subnormals: Phi(-38.4) = 7e-323.
+        assert TruncatedGaussian(-38.4, 1.0)._mass > 0.0
+        with pytest.raises(ValueError, match="no mass"):
+            TruncatedGaussian(-38.5, 1.0)
+
+    def test_mass_is_not_a_field(self):
+        a, b = TruncatedGaussian(10.0, 1.5), TruncatedGaussian(10.0, 1.5)
+        assert a._mass == pytest.approx(special.ndtr(10.0 / 1.5), rel=1e-15)
+        assert a == b and hash(a) == hash(b) and "_mass" not in repr(a)
+
+
 def test_row_search_never_draws_a_zero_probability_index():
     cumulative = np.cumsum([[0.0, 0.5, 0.0, 0.5], [0.25, 0.25, 0.5, 0.0]], axis=1)
     u = np.array([0.0, 0.5 - 2.0**-53, 0.5, 1.0 - 2.0**-53])
@@ -327,12 +410,28 @@ class TestBetaDensity:
 
 
 def test_package_import_leaves_out_quadrature():
-    # Every sojourn law's expected discount is in closed form, so importing
-    # the package must not load scipy's quadrature module.
+    # Every sojourn law's expected discount is in closed form, and the normal
+    # cdf and quantiles come from the standard library: the package loads no
+    # scipy module, on import or when building, sampling and evaluating laws.
     src = str(Path(posmdp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import posmdp, sys; assert 'scipy.integrate' not in sys.modules"
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import posmdp
+        from posmdp.distributions import DeterministicAtom, InverseGaussian, TruncatedGaussian
+        from posmdp.model import build_builtin
+        for name in ("maintenance", "bus"):
+            build_builtin(name)
+        rng = np.random.default_rng(0)
+        for law in (InverseGaussian(5.0, 250.0), DeterministicAtom(12.0),
+                    TruncatedGaussian(10.0, 1.5)):
+            law.cdf(law.sample(rng))
+            law.expected_discount(0.02)
+        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        assert not loaded, loaded
+    """)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
