@@ -69,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--max-iters", type=_positive(int), default=500,
                          help="iteration cap (default 500)")
     p_solve.add_argument("--initial-alpha", type=float, default=None,
-                         help="constant initial value (default: closed-form lower "
-                              "bound, falling back to the expected-discount bound)")
+                         help="constant initial value (default: the lower bound "
+                              "from the expected per-stage discount)")
     p_solve.add_argument("--output", default="policy.json", help="policy file to write")
     p_solve.add_argument("--bank", default=None, help="also write the sample bank here")
 
@@ -107,16 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_solve(args) -> int:
     model = _load_model(args)
     bank = sampler.collect(model, args.beliefs, args.seed)
-    if args.initial_alpha is not None:
-        v0 = solver.constant_value_function(model, args.initial_alpha)
-    else:
-        try:
-            v0 = solver.initial_value_function(model, bank)
-        except solver.InitialValueError as exc:
-            print(f"note: {exc}", file=sys.stderr)
-            print("note: falling back to the expected-discount lower bound; "
-                  "pass --initial-alpha to override", file=sys.stderr)
-            v0 = solver.conservative_value_function(model)
+    v0 = (None if args.initial_alpha is None
+          else solver.constant_value_function(model, args.initial_alpha))
     result = solver.solve(model, bank, v0=v0, epsilon=args.epsilon,
                           max_iters=args.max_iters, seed=args.seed)
     for rec in result.trace:

@@ -38,7 +38,9 @@ from itertools import compress
 import numpy as np
 
 from .model import ModelFormatError, compute_stage_reward, model_hash
-from .sampler import SampleBank, _mixture_from_blocks, mixture_density
+from .sampler import SampleBank, _mixture_from_blocks
+# Kept as a name of this module: bench/tracer.py wraps it here.
+from .sampler import mixture_density  # noqa: F401
 
 __all__ = [
     "AlphaVector",
@@ -62,8 +64,8 @@ __all__ = [
 DUPLICATE_TOL = 1e-9
 
 
-class InitialValueError(RuntimeError):
-    """The Theorem-style initial bound does not apply (discount ratio >= 1)."""
+class InitialValueError(ValueError):
+    """No finite uniform lower bound exists: an expected per-stage discount reaches 1."""
 
 
 @dataclass(frozen=True)
@@ -112,45 +114,33 @@ def constant_value_function(model, value: float, action: int = 0) -> ValueFuncti
 
 
 def initial_value_function(model, bank: SampleBank) -> ValueFunction:
-    """Uniform lower bound M / (1 - lambda) from the worst stage reward M.
+    """The start of :func:`solve` when no ``v0`` is given: :func:`conservative_value_function`.
 
-    ``lambda`` is the extreme importance ratio over the collected samples
-    (minimum when M >= 0, maximum when M < 0, so the bound errs downward);
-    with no samples it is :func:`conservative_value_function`. Raises
-    :class:`InitialValueError` when that ratio reaches 1, in which case
-    callers should supply an explicit pessimistic bound via
-    :func:`constant_value_function` instead.
+    ``bank`` is unused: the start depends on the model alone. The name and
+    signature stay because the benchmark (``bench/workloads.py``) starts its
+    solves through it and ``bench/tracer.py`` wraps it.
     """
-    if bank.n_samples == 0:
-        return conservative_value_function(model)
-    return _uniform_bound(
-        model, lambda: np.exp(-model.beta * bank.times) / mixture_density(bank, model, bank.times),
-        "extreme importance ratio {lam:.6g} >= 1; the closed-form initial bound does not "
-        "apply. Pass an explicit pessimistic constant_value_function instead.")
+    return conservative_value_function(model)
 
 
 def conservative_value_function(model) -> ValueFunction:
-    """Uniform bound M / (1 - lambda) using true expected per-stage discounts.
+    """Uniform lower bound M / (1 - lambda) from the worst stage reward M.
 
-    Always applicable (every sojourn law has ``E[exp(-beta tau)] < 1`` when
-    beta > 0), at the cost of being looser than the sample-based bound of
-    :func:`initial_value_function`.
+    ``lambda`` is the true expected per-stage discount ``E[exp(-beta tau)]``,
+    the smallest over the sojourn laws when M > 0 and the largest when M < 0,
+    so the bound errs downward; it is 0 when M = 0, without reading any
+    discount. Raises :class:`InitialValueError` when that discount reaches 1.
     """
-    return _uniform_bound(
-        model, lambda: [d.expected_discount(model.beta) for d in set(model.sojourn.values())],
-        "expected per-stage discount reaches 1 (beta = 0 with nonzero rewards); "
-        "no finite uniform bound exists.")
-
-
-def _uniform_bound(model, discounts, message: str) -> ValueFunction:
-    """The bound of :func:`initial_value_function`, ``lambda`` taken from ``discounts()``,
-    which is not called when M = 0 (the bound is then 0); ``message`` takes ``lam``."""
     m_min = float(compute_stage_reward(model).values.min())
     if m_min == 0.0:
         return constant_value_function(model, 0.0)
-    lam = float(np.min(discounts()) if m_min > 0 else np.max(discounts()))
+    discounts = [d.expected_discount(model.beta) for d in set(model.sojourn.values())]
+    lam = float(np.min(discounts) if m_min > 0 else np.max(discounts))
     if lam >= 1.0:
-        raise InitialValueError(message.format(lam=lam))
+        raise InitialValueError(
+            f"expected per-stage discount {lam:.6g} >= 1 (beta = 0 with nonzero rewards), "
+            "so no finite uniform lower bound exists; give an explicit start with "
+            "--initial-alpha or constant_value_function")
     return constant_value_function(model, m_min / (1.0 - lam))
 
 
@@ -403,7 +393,8 @@ def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = No
     collected belief improves it by more than ``epsilon``; improving vectors
     found by the sweep are folded in and iteration continues. Non-convergence
     within ``max_iters`` is reported on the result, not raised. The default
-    epsilon scales with the largest stage-reward magnitude.
+    ``v0`` is :func:`conservative_value_function`, and the default epsilon
+    scales with the largest stage-reward magnitude.
     """
     start = time.perf_counter()
     cache = BackupCache(model, bank)
@@ -412,7 +403,7 @@ def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = No
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     rng = np.random.default_rng(seed)
-    vf = v0 if v0 is not None else initial_value_function(model, bank)
+    vf = v0 if v0 is not None else conservative_value_function(model)
     values = cache.values(vf)
 
     result = SolveResult(value_function=vf)

@@ -213,11 +213,16 @@ def test_criterion_8_belief_update_consistency():
         # time-free update, checked by Monte Carlo within 3 SE.
         a, o = 1, 0
         n = 30_000
+        # The (s, s') pairs are drawn as Generator.choice draws them, one
+        # uniform each, through cumulative sums normalized by their last entry.
+        u = rng.random((n, 2))
+        cdf = np.cumsum(xi)
+        s = np.searchsorted(cdf / cdf[-1], u[:, 0], side="right")
+        rows = np.cumsum(m.transition[:, a, :], axis=1)
+        rows /= rows[:, -1:]
+        s2 = (rows[s] <= u[:, 1:]).sum(axis=1)  # searchsorted(side="right") per row
         draws = np.zeros((n, 3))
-        for i in range(n):
-            s = rng.choice(3, p=xi)
-            s2 = rng.choice(3, p=m.transition[s, a])
-            draws[i, s2] = m.observation_kernel[a, s2, o]
+        draws[np.arange(n), s2] = m.observation_kernel[a, s2, o]
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / math.sqrt(n)
         target = m.observation_kernel[a, :, o] * (xi @ m.transition[:, a, :])

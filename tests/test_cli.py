@@ -158,16 +158,38 @@ class TestSolveSimulate:
         assert policy.exists()  # the partial policy is still written
         assert "did not converge" in capsys.readouterr().err
 
-    def test_maintenance_initial_bound_fallback(self, tmp_path, capsys):
-        # The sample-ratio initial bound does not apply to the maintenance
-        # model; solve must fall back to the expected-discount bound and say so.
-        policy = tmp_path / "policy.json"
-        code = main(["solve", "maintenance", "--beliefs", "60",
-                     "--max-iters", "3", "--output", str(policy)])
-        captured = capsys.readouterr()
-        assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
-        assert "falling back" in captured.err
-        assert policy.exists()
+    def test_maintenance_default_start_is_the_conservative_bound(self, tmp_path, capsys):
+        # Without --initial-alpha, solve starts from the expected-discount
+        # bound: the same policy as that constant given explicitly.
+        start = posmdp.conservative_value_function(posmdp.build_maintenance_problem(100))
+        docs = []
+        for name, extra in (("default", []),
+                            ("explicit", [f"--initial-alpha={float(start.matrix[0, 0])!r}"])):
+            policy = tmp_path / f"{name}.json"
+            code = main(["solve", "maintenance", "--beliefs", "60", "--max-iters", "3",
+                         "--output", str(policy), *extra])
+            assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+            doc = json.loads(policy.read_text())
+            for rec in doc["trace"]:
+                rec["wall_time"] = 0.0
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
+    def test_undiscounted_model_is_an_error(self, maintenance_model, tmp_path, capsys):
+        # beta = 0 with nonzero rewards validates, but no finite uniform
+        # lower bound exists to start the solve from.
+        doc = model_to_dict(maintenance_model)
+        doc["beta"] = 0.0
+        path = tmp_path / "undiscounted.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert "0 violations" in capsys.readouterr().out
+        code = main(["solve", str(path), "--beliefs", "20",
+                     "--output", str(tmp_path / "policy.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error:") and "--initial-alpha" in err
+        assert "Traceback" not in err
 
     def test_explicit_initial_alpha(self, tmp_path, capsys):
         policy = tmp_path / "policy.json"

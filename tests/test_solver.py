@@ -63,34 +63,30 @@ class TestInitialValueFunction:
     def test_half_discount_bound(self):
         # M = -100 and per-stage discount exactly 1/2 give the bound -200.
         m = make_flat_cost_model()
-        bank = collect(m, 1, seed=0)  # empty sample set: expected discounts used
-        vf = initial_value_function(m, bank)
+        vf = initial_value_function(m, collect(m, 1, seed=0))
         np.testing.assert_allclose(vf.matrix, np.full((1, 2), -200.0))
 
     def test_zero_reward_model(self, rng, random_model_factory, bus_model, monkeypatch):
-        # With M = 0 the bound is 0 and D is never computed (bus's worst reward is 0).
+        # With M = 0 the bound is 0 and no discount is read (bus's worst reward is 0).
         def unexpected(*args):
-            raise AssertionError("mixture_density called with M = 0")
+            raise AssertionError("expected_discount called with M = 0")
 
-        monkeypatch.setattr(posmdp.solver, "mixture_density", unexpected)
         m = random_model_factory(rng)
-        m = posmdp.PosmdpModel(
-            states=m.states, actions=m.actions, observations=m.observations,
-            transition=m.transition, sojourn=m.sojourn,
-            observation_kernel=m.observation_kernel,
-            lump_reward=np.zeros((3, 2)), rate_reward=np.zeros((3, 2, 3)),
-            beta=m.beta, initial_belief=m.initial_belief,
-        )
+        m = dataclasses.replace(m, lump_reward=np.zeros((3, 2)),
+                                rate_reward=np.zeros((3, 2, 3)))
         for model in (m, bus_model):
+            for law in {type(d) for d in model.sojourn.values()}:
+                monkeypatch.setattr(law, "expected_discount", unexpected)
             vf = initial_value_function(model, collect(model, 5, seed=0))
             np.testing.assert_array_equal(vf.matrix, np.zeros((1, model.n_states)))
 
-    def test_unbounded_ratio_raises(self, maintenance_model):
-        # At an atom sample, the proposal mass is far below the survival
-        # probability, so the extreme importance ratio exceeds 1.
-        bank = collect(maintenance_model, 200, seed=0)
-        with pytest.raises(InitialValueError):
-            initial_value_function(maintenance_model, bank)
+    def test_initial_is_conservative_bound(self, maintenance_model, bus_model):
+        # The bank does not enter the start: it is the expected-discount bound.
+        for model in (maintenance_model, bus_model, make_flat_cost_model()):
+            vf = initial_value_function(model, collect(model, 200, seed=0))
+            ref = conservative_value_function(model)
+            np.testing.assert_array_equal(vf.matrix, ref.matrix)
+            np.testing.assert_array_equal(vf.actions, ref.actions)
 
     def test_conservative_bound(self, maintenance_model):
         vf = conservative_value_function(maintenance_model)
@@ -105,8 +101,30 @@ class TestInitialValueFunction:
 
     def test_conservative_undiscounted_raises(self):
         m = make_flat_cost_model(beta=0.0)
-        with pytest.raises(InitialValueError):
+        with pytest.raises(InitialValueError, match="--initial-alpha"):
             conservative_value_function(m)
+        assert issubclass(InitialValueError, ValueError)
+
+    def test_default_start_is_below_the_solution(self, random_model_factory):
+        # The extreme importance ratio over this bank gives a uniform start
+        # of 22.75, while the solve from 0 reaches at most 4.37 on B; a start
+        # above the solution never comes down. The default start must end
+        # where the solve from 0 does.
+        m = random_model_factory(np.random.default_rng(0), beta=0.3)
+        m = dataclasses.replace(m, lump_reward=m.lump_reward + 3,
+                                rate_reward=np.zeros_like(m.rate_reward))
+        bank = collect(m, 200, seed=0)
+        result = solve(m, bank, seed=0)
+        from_zero = solve(m, bank, v0=constant_value_function(m, 0.0), seed=0)
+        assert result.converged and from_zero.converged
+        epsilon = 1e-4 * max(np.abs(posmdp.compute_stage_reward(m).values).max(), 1.0)
+        gap = (result.value_function.values_at(bank.beliefs)
+               - from_zero.value_function.values_at(bank.beliefs))
+        assert np.abs(gap).max() <= epsilon
+
+    def test_maintenance_solves_from_the_default_start(self, maintenance_model):
+        result = solve(maintenance_model, collect(maintenance_model, 60, seed=0), max_iters=3)
+        assert result.iterations >= 1
 
 
 class TestValueFunction:
