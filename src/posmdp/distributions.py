@@ -13,11 +13,11 @@ Each family's density formula is one module-level function of the time and
 the law's parameters. A law's ``pdf`` calls it with scalar parameters; a
 :class:`SojournFamily` calls it with parameter arrays over many ``[s, s']``
 cells, so a model evaluates all laws of one family in one numpy expression.
-So too each family's ``time`` map from two uniforms on [0, 1) to a time,
-which serves a law's ``sample`` and the rollouts' draw budgets alike.
+So too each family's ``time`` map from two uniforms on [0, 1) to a time, the
+one way the package draws a sojourn time (the model's transition kernel calls
+it), so callers own the random stream.
 
-All distribution objects are immutable and hashable. Samplers take an
-explicit ``numpy.random.Generator`` so callers own the random state.
+All distribution objects are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ _TAIL_DEN = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
 def _ndtri_exp(y):
     """Phi^-1(exp(y)) for y < 0; within 2e-15 relative of scipy's down to y = -800.
 
-    The package passes y no lower than about -781: ``log1p(-u1) >= log
-    2**-53``, and a truncated Gaussian whose ``Phi(mu / sigma)`` underflows to
-    0 is rejected on load. Below y = -1000 AS241's tail drifts (6e-14 at
+    The package passes y no lower than about -745: ``log1p(-u1) >= log
+    2**-53``, and a truncated Gaussian whose ``Phi(mu / sigma)`` is subnormal
+    is rejected on load. Below y = -1000 AS241's tail drifts (6e-14 at
     -1000, 1.3e-8 at -1e4).
     """
     if y >= -math.log(2.0):
@@ -148,17 +148,13 @@ def _truncated_gaussian_time(u1, u2, mu, sigma, mass):
 
 
 class _SojournLaw:
-    """A law's ``pdf`` and ``sample`` are its family's ``density`` and ``time``."""
+    """A law's ``pdf`` is its family's ``density`` at its own parameters."""
 
     atom = None  # a continuous law; DeterministicAtom overrides it
 
     def pdf(self, tau):
         out = self.density(np.asarray(tau, dtype=float), *self.params)
         return out if out.ndim else float(out)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        out = self.time(rng.random(size), rng.random(size), *self.params)
-        return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)
@@ -267,8 +263,9 @@ class TruncatedGaussian(_SojournLaw):
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError(f"truncated Gaussian std must be positive, got {self.sigma}")
         # P(X > 0) for the untruncated Gaussian; not a field, so eq and hash skip it.
+        # Subnormal (mu / sigma < -37.52), it would put pdf and cdf off by percents.
         object.__setattr__(self, "_mass", _ndtr(self.mu / self.sigma))
-        if self._mass == 0.0:
+        if self._mass < np.finfo(float).tiny:
             raise ValueError(f"truncated Gaussian ({self.mu}, {self.sigma}) has no mass above 0")
 
     @property

@@ -25,6 +25,7 @@ from .distributions import (
     SojournFamily,
     TruncatedGaussian,
     atom_mask,
+    draw_rows,
     mixed_density,
 )
 
@@ -161,8 +162,14 @@ class PosmdpModel:
             out[(..., *family.cells)] = mixed_density(family, taus, at_atom=at_atom)
         return out
 
-    def sojourn_times(self, s, a, s2, u1, u2) -> np.ndarray:
-        """Per (s, a, s') row, its law's time drawn at uniforms ``u1``, ``u2``."""
+    def draw_transitions(self, s, a, u):
+        """The transition kernel: per row, (s', tau, o) from its four uniforms
+        ``u[row]``, spent in order on s' ~ P(. | s, a), the ``time`` map of the law
+        of (s, a, s') (two) and o ~ G(. | a, s'). Collection and rollouts use it."""
+        if not self.admissible[s, a].all():
+            bad = np.flatnonzero(~self.admissible[s, a])[0]
+            raise ValueError(f"action {a[bad]} is not admissible in state {s[bad]}")
+        s2 = draw_rows(self.transition_cdf[s, a], u[:, 0])
         k, cell = self.sojourn_cell[:, s, a, s2]
         if (k < 0).any():
             e = np.argmax(k < 0)
@@ -171,9 +178,9 @@ class PosmdpModel:
         tau = np.empty(len(s))
         for i in set(k.tolist()):  # the families drawn from
             rows = np.flatnonzero(k == i)
-            tau[rows] = families[i].kind.time(u1[rows], u2[rows],
+            tau[rows] = families[i].kind.time(u[rows, 1], u[rows, 2],
                                               *(p[cell[rows]] for p in families[i].params))
-        return tau
+        return s2, tau, draw_rows(self.observation_cdf[a, s2], u[:, 3])
 
 
 @dataclass(frozen=True)

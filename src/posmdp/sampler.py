@@ -1,14 +1,14 @@
 """Exploration-phase sample collection and the importance-sampling mixture.
 
 One collection pass produces the frozen inputs to value iteration: a belief
-set ``B`` grown by simulating random transitions from already-collected
-beliefs, the sojourn-time samples ``C`` observed along the way, and mixture
-weights ``w(s, a, s')`` recording which transition produced each time. ``B``
-grows in generations, and is still Perseus's random exploration from ``xi_0``
-(Spaan & Vlassis, JAIR 2005): the order in which its tree grows is not part
-of the method. The mixture density ``D`` built from those weights is the
-proposal shared by every transition in the importance-sampled backup; it is
-summed from the per-action density blocks that the solver's cache also groups.
+set ``B`` grown by random transitions from already-collected beliefs (drawn
+and filtered as in rollouts), the sojourn-time samples ``C`` observed along
+the way, and mixture weights ``w(s, a, s')`` recording which transition
+produced each time. ``B`` grows in generations, and is still Perseus's random
+exploration from ``xi_0`` (Spaan & Vlassis, JAIR 2005): the order in which its
+tree grows is not part of the method. The mixture density ``D`` of ``w``, the
+proposal every transition shares in the importance-sampled backup, is summed
+from the per-action density blocks that the solver's cache also groups.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import condition, predict_with_time
 from .distributions import draw_rows
-# Kept as names of this module: bench/tracer.py wraps the filter here.
+from .simulator import filter_by_action
+# Kept as names of this module: bench/tracer.py wraps them here.
 from .belief import observation_time_likelihood, update_with_time  # noqa: F401
 
 __all__ = ["SampleBank", "collect", "mixture_density", "bank_to_dict", "save_bank"]
@@ -43,11 +43,11 @@ def collect(model, n: int, seed: int) -> SampleBank:
     """Grow a belief set of size ``n`` by random exploration from xi_0.
 
     Each generation picks ``m = min(|B|, n - |B|)`` beliefs uniformly from B
-    as it stood when the generation began, and draws for all of them at once,
-    in order: picks, states, actions uniform among the admissible, successors,
-    times (``sample(rng, count)`` per distinct ``(s, a, s')``, sorted) and one
-    uniform per pick for its observation. Each action's rows are filtered as
-    one block; results are appended in pick order.
+    as it stood when the generation began, then ``rng.random((m, 6))``: per
+    pick, its hidden state ``s ~ xi``, its action (the ``floor(u * count)``-th
+    admissible in ``s``) and the kernel's four. Given ``(xi, a, tau)``, ``s'``
+    has the law of ``xi(s) P(s' | s, a) f(tau | s, a, s')`` summed over ``s``,
+    so ``o ~ G(. | a, s')`` has the predictive law ``P(o | xi, a, tau)``.
     """
     if n < 1:
         raise ValueError(f"belief count must be >= 1, got {n}")
@@ -57,22 +57,14 @@ def collect(model, n: int, seed: int) -> SampleBank:
     for size in 2 ** np.arange(int(n - 1).bit_length()):  # |B| = 1, 2, 4, ...
         m = min(size, n - size)
         xi = beliefs[rng.integers(size, size=m)]
-        s = draw_rows(np.cumsum(xi, axis=1), rng.random(m))
-        adm = model.admissible[s]  # the action is the k-th admissible one, k uniform
-        a = (np.cumsum(adm, axis=1) <= rng.integers(adm.sum(axis=1))[:, None]).sum(axis=1)
-        s2 = draw_rows(model.transition_cdf[s, a], rng.random(m))
-        origins[size - 1:size - 1 + m] = key = np.stack([s, a, s2], axis=1)
-        laws, which, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
-        tau = times[size - 1:size - 1 + m]  # a view: the draws land in times
-        tau[np.argsort(which.ravel(), kind="stable")] = np.concatenate(
-            [model.sojourn[tuple(law)].sample(rng, c) for law, c in zip(laws.tolist(), counts)])
-        u = rng.random(m)
-        for act in np.unique(a):
-            rows = np.flatnonzero(a == act)
-            predicted = predict_with_time(model, xi[rows], act, tau[rows])
-            masses = predicted @ model.observation_kernel[act]
-            o = draw_rows(np.cumsum(masses / masses.sum(axis=1, keepdims=True), axis=1), u[rows])
-            beliefs[size + rows] = condition(model, predicted, act, o, tau[rows])
+        u = rng.random((m, 6))
+        s = draw_rows(np.cumsum(xi, axis=1), u[:, 0])
+        adm = model.admissible[s]  # the action is the k-th admissible, k = floor(u * count)
+        a = (np.cumsum(adm, axis=1) <= u[:, 1:2] * adm.sum(axis=1, keepdims=True)).sum(axis=1)
+        s2, tau, o = model.draw_transitions(s, a, u[:, 2:])
+        rows = slice(size - 1, size - 1 + m)
+        times[rows], origins[rows] = tau, np.stack([s, a, s2], axis=1)
+        beliefs[size:size + m] = filter_by_action(model, xi, a, tau, o)
     counts = np.zeros(model.transition.shape)
     np.add.at(counts, tuple(origins.T), 1)
     return SampleBank(beliefs, times, origins, counts / max(n - 1, 1), seed)

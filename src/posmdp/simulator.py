@@ -1,19 +1,19 @@
 """Rollout harness: execute the model dynamics and score policies.
 
-A rollout alternates the policy's greedy action, one sampled transition,
-and the time-aware belief update, accumulating rewards discounted by the
-elapsed continuous time. "Episodes" are independent restarts from the
-initial belief; any episodic structure (such as a reset transition) lives
-in the model itself, not here.
+A rollout alternates the policy's greedy action, one transition from the
+model's kernel (:meth:`~posmdp.model.PosmdpModel.draw_transitions`) and the
+time-aware belief update, accumulating rewards discounted by the elapsed
+continuous time. "Episodes" are independent restarts from the initial belief;
+any episodic structure (such as a reset transition) lives in the model itself.
 
 Episodes run in lockstep (:func:`run_episodes`) as one ``[E, s]`` belief
-block: greedy actions, ``(s', tau, o)`` draws, rewards and each action's
-filter step are array operations. Each episode has a fixed budget of uniforms
-from its own generator: one for its initial state, then four per epoch (s',
-two for tau's family map, o), drawn with one ``rng.random`` call per block of
-whole epochs (at most ``DRAW_BLOCK`` uniforms over all episodes). A generator
-yields its stream in order whatever the block, so an episode's path depends
-neither on how many run beside it nor on the epoch count.
+block: greedy actions, transitions, rewards and the filter loop
+(:func:`filter_by_action`, shared with collection) are array operations. Each
+episode has a fixed budget of uniforms from its own generator: one for its
+initial state, then the kernel's four per epoch, drawn with one ``rng.random``
+call per block of whole epochs (at most ``DRAW_BLOCK`` uniforms over all
+episodes). A generator yields its stream in order whatever the block, so an
+episode's path depends neither on how many run beside it nor on epoch count.
 """
 
 from __future__ import annotations
@@ -57,26 +57,30 @@ class HistoryRecord:
         return len(self.entries)
 
 
-def _transition(model, s, a, u):
-    """Per row, (s', tau, o) from its four uniforms ``u[row]``, the stage reward
-    (see :func:`step`) and the discount factor ``exp(-beta tau)``."""
-    if not model.admissible[s, a].all():
-        bad = np.flatnonzero(~model.admissible[s, a])[0]
-        raise ValueError(f"action {a[bad]} is not admissible in state {s[bad]}")
-    s2 = draw_rows(model.transition_cdf[s, a], u[:, 0])
-    tau = model.sojourn_times(s, a, s2, u[:, 1], u[:, 2])
-    o = draw_rows(model.observation_cdf[a, s2], u[:, 3])
+def _stage(model, s, a, s2, tau):
+    """Per row, the stage reward (see :func:`step`) and discount ``exp(-beta tau)``."""
     decay = np.exp(-model.beta * tau)
     rate = model.rate_reward[s, a, s2]
     accrued = rate * (1.0 - decay) / model.beta if model.beta > 0 else rate * tau
-    return s2, tau, o, model.lump_reward[s, a] + accrued, decay
+    return model.lump_reward[s, a] + accrued, decay
+
+
+def filter_by_action(model, xi, actions, taus, observations) -> np.ndarray:
+    """Each row of the ``[n, s]`` belief block ``xi`` updated on its own ``(a, tau,
+    o)``, by one :func:`~posmdp.belief.update_with_time` call per action taken."""
+    out = np.empty_like(xi)
+    for a in np.unique(actions):
+        rows = np.flatnonzero(actions == a)
+        out[rows] = update_with_time(model, xi[rows], int(a), taus[rows], observations[rows])
+    return out
 
 
 def step(model, s: int, a: int, rng: np.random.Generator):
     """One transition from ``rng.random(4)``, as one row of a rollout epoch:
     (s', tau, o) and the stage reward ``r1(s,a) + r2(s,a,s') (1 - exp(-beta
     tau)) / beta`` (the rate integrated over the sojourn; ``r2 tau`` if beta = 0)."""
-    s2, tau, o, reward, _ = _transition(model, np.array([s]), np.array([a]), rng.random((1, 4)))
+    s2, tau, o = model.draw_transitions(np.array([s]), np.array([a]), rng.random((1, 4)))
+    reward, _ = _stage(model, s, a, s2, tau)
     return int(s2[0]), float(tau[0]), int(o[0]), float(reward[0])
 
 
@@ -101,10 +105,9 @@ def run_episodes(model, value_function, xi0, epochs: int, rngs, histories=None) 
         draws = np.stack([rng.random((min(block, epochs - first), 4)) for rng in rngs], axis=1)
         for u in draws:  # one epoch: [E, 4]
             actions = value_function.action_at(xi)
-            states, taus, observations, rewards, decay = _transition(model, states, actions, u)
-            for a in np.unique(actions):
-                rows = np.flatnonzero(actions == a)
-                xi[rows] = update_with_time(model, xi[rows], int(a), taus[rows], observations[rows])
+            successors, taus, observations = model.draw_transitions(states, actions, u)
+            rewards, decay = _stage(model, states, actions, successors, taus)
+            states, xi = successors, filter_by_action(model, xi, actions, taus, observations)
             gained = discount * rewards
             returns += gained
             discount *= decay

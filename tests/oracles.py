@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from posmdp.belief import observation_time_likelihood, update_with_time
+from posmdp.belief import update_with_time
 
 
 def brute_force_backup(model, vf, bank, belief):
@@ -149,11 +149,10 @@ def sequential_episodes(model, value_function, episodes, epochs, seed):
     """Episodes run one after another, each with its own 1-D belief.
 
     Each generator draws one uniform for the initial state, then per epoch
-    one uniform for s', the law's own ``sample(rng)`` for tau (two uniforms)
-    and one uniform for o; each index is a ``searchsorted`` over freshly
-    summed rows. The greedy action is ``value_function.action_at``. The 1-D
-    filter and ``action_at`` come from the package; test_belief and
-    test_solver check them on their own. Returns, per episode, the list of
+    one uniform for s', two for its law's own ``time`` map and one for o; each
+    index is a ``searchsorted`` over freshly summed rows. The greedy action is
+    ``value_function.action_at``. The 1-D filter and ``action_at`` come from
+    the package; test_belief and test_solver check them on their own. Returns, per episode, the list of
     (a, tau, o) and the discounted return.
     """
     out = []
@@ -165,7 +164,8 @@ def sequential_episodes(model, value_function, episodes, epochs, seed):
         for _ in range(epochs):
             a = value_function.action_at(xi)
             s2 = _sample_index(rng.random(), model.transition[s, a])
-            tau = float(model.sojourn[(s, a, s2)].sample(rng))
+            law = model.sojourn[(s, a, s2)]
+            tau = float(law.time(rng.random(), rng.random(), *law.params))
             o = _sample_index(rng.random(), model.observation_kernel[a, s2])
             rate = model.rate_reward[s, a, s2]
             if model.beta > 0:
@@ -191,14 +191,13 @@ def generation_collect(model, n, seed):
     """Generation-wise collection, one belief at a time within a generation.
 
     Each generation takes ``min(|B|, n - |B|)`` picks from the set as it stood
-    when the generation began, with the package's draw order: the picks, one
-    uniform per pick for its state, one ``integers`` call ranking its action
-    among the admissible ones, one uniform per pick for its successor, one
-    ``sample(rng, count)`` per distinct (s, a, s') in sorted order, then one
-    uniform per pick for its observation. Each belief is then filtered on its
-    own with the public one-row functions: the likelihood picks the
-    observation, then the full time-aware update runs. Returns the beliefs and
-    the (s, a, s') origins, in order.
+    when the generation began, then draws ``rng.random((m, 6))``, with the
+    package's use of each row: the pick's state, its action's rank among the
+    admissible ones as ``floor(u * count)``, its successor, two uniforms for
+    its law's time map and its observation from ``G(. | a, s')``. Each index
+    is a ``searchsorted`` over freshly summed rows, and each belief is filtered
+    on its own with the public one-row update. Returns the beliefs and the
+    (s, a, s') origins, in order.
     """
     rng = np.random.default_rng(seed)
     beliefs = [np.array(model.initial_belief, dtype=float)]
@@ -206,22 +205,16 @@ def generation_collect(model, n, seed):
     while len(beliefs) < n:
         m = min(len(beliefs), n - len(beliefs))
         picks = [beliefs[i] for i in rng.integers(len(beliefs), size=m)]
-        states = [_sample_index(u, xi) for u, xi in zip(rng.random(m), picks)]
-        admissible = [np.flatnonzero(model.admissible[s]) for s in states]
-        ranks = rng.integers([choices.size for choices in admissible])
-        actions = [int(choices[k]) for choices, k in zip(admissible, ranks)]
-        keys = [(s, a, _sample_index(u, model.transition[s, a]))
-                for s, a, u in zip(states, actions, rng.random(m))]
-        taus = [0.0] * m
-        for key in sorted(set(keys)):
-            rows = [i for i, k in enumerate(keys) if k == key]
-            for i, tau in zip(rows, model.sojourn[key].sample(rng, len(rows))):
-                taus[i] = float(tau)
-        for xi, (_, a, _), tau, u in zip(picks, keys, taus, rng.random(m)):
-            masses, total = observation_time_likelihood(model, xi, a, tau)
-            o = _sample_index(u, masses / total)
+        for xi, u in zip(picks, rng.random((m, 6)).tolist()):
+            s = _sample_index(u[0], xi)
+            choices = np.flatnonzero(model.admissible[s])
+            a = int(choices[int(u[1] * choices.size)])
+            s2 = _sample_index(u[2], model.transition[s, a])
+            law = model.sojourn[(s, a, s2)]
+            tau = float(law.time(u[3], u[4], *law.params))
+            o = _sample_index(u[5], model.observation_kernel[a, s2])
             beliefs.append(update_with_time(model, xi, a, tau, o))
-        origins.extend(keys)
+            origins.append((s, a, s2))
     return beliefs, origins
 
 

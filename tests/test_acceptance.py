@@ -181,7 +181,7 @@ def test_criterion_7_distribution_correctness(rng):
         assert dist.expected_discount(0.02) == pytest.approx(ref, abs=1e-6)
     # KS < 0.01 on 1e5 samples.
     for dist in (ig, tg):
-        draws = np.sort(dist.sample(rng, size=100_000))
+        draws = np.sort(dist.time(rng.random(100_000), rng.random(100_000), *dist.params))
         grid = dist.cdf(draws)
         n = len(draws)
         ks = max(np.max(np.arange(1, n + 1) / n - grid),
@@ -204,7 +204,8 @@ def test_criterion_8_belief_update_consistency():
             s = rng.choice(3, p=xi)
             a = int(rng.integers(2))
             s2 = rng.choice(3, p=m.transition[s, a])
-            tau = float(m.sojourn[(s, a, s2)].sample(rng))
+            law = m.sojourn[(s, a, s2)]
+            tau = float(law.time(rng.random(), rng.random(), *law.params))
             o = rng.choice(3, p=m.observation_kernel[a, s2])
             post = update_with_time(m, xi, a, tau, o)
             assert abs(post.sum() - 1.0) <= 1e-12

@@ -58,6 +58,7 @@ def test_hooks_read_a_traced_solve(tracer_module, maintenance_model):
     summary = tracer.summary()
     assert summary["solver.backup"]["calls"] > 0
     assert summary["solver.perseus_update"]["calls"] > 0
+    assert summary["belief.update_with_time"]["calls"] > 0  # collect's filter loop
 
 
 def test_traced_evaluate_takes_greedy_actions_from_the_value_function(tracer_module,

@@ -97,7 +97,7 @@ class TestInverseGaussian:
     def test_sample_mean_lln(self, rng):
         dist = InverseGaussian(5.0, 250.0)
         n = 100_000
-        draws = dist.sample(rng, size=n)
+        draws = dist.time(rng.random(n), rng.random(n), *dist.params)
         se = math.sqrt(dist.mu**3 / dist.lam / n)
         assert abs(draws.mean() - 5.0) < 3 * se
         assert np.all(draws > 0)
@@ -105,7 +105,7 @@ class TestInverseGaussian:
     @pytest.mark.parametrize("mu,lam", [(5.0, 250.0), (10.0, 1000.0)])
     def test_sample_ks(self, rng, mu, lam):
         dist = InverseGaussian(mu, lam)
-        draws = np.sort(dist.sample(rng, size=100_000))
+        draws = np.sort(dist.time(rng.random(100_000), rng.random(100_000), *dist.params))
         grid = dist.cdf(draws)
         n = len(draws)
         ks = max(
@@ -145,8 +145,8 @@ class TestDeterministicAtom:
 
     def test_sample_exact(self, rng):
         atom = DeterministicAtom(12.0)
-        assert atom.sample(rng) == 12.0
-        assert np.all(atom.sample(rng, size=100) == 12.0)
+        assert atom.time(rng.random(), rng.random(), *atom.params) == 12.0
+        assert np.all(atom.time(rng.random(100), rng.random(100), *atom.params) == 12.0)
 
     def test_reset_discount(self):
         # The long reset delay makes one episode worth ~1e-4 of the previous.
@@ -211,7 +211,7 @@ class TestTruncatedGaussian:
         assert self.dist.mean() == pytest.approx(self.ref.mean(), rel=1e-9)
 
     def test_sample_ks(self, rng):
-        draws = np.sort(self.dist.sample(rng, size=100_000))
+        draws = np.sort(self.dist.time(rng.random(100_000), rng.random(100_000), *self.dist.params))
         grid = self.dist.cdf(draws)
         n = len(draws)
         ks = max(
@@ -238,7 +238,7 @@ class TestTruncatedGaussian:
     def test_heavily_truncated_sampler(self, rng):
         # Mean below zero: draws stay positive and match the reference mean.
         dist = TruncatedGaussian(-1.0, 1.0)
-        draws = dist.sample(rng, size=10_000)
+        draws = dist.time(rng.random(10_000), rng.random(10_000), *dist.params)
         assert np.all(draws > 0)
         ref = stats.truncnorm(1.0, np.inf, loc=-1.0, scale=1.0)
         assert abs(draws.mean() - ref.mean()) < 3 * ref.std() / math.sqrt(10_000)
@@ -258,11 +258,11 @@ EXTREME_LAWS = MAP_LAWS + [
 
 
 class TestTimeMaps:
-    """A law's ``sample`` is its family's uniform-to-time map on two uniforms."""
+    """A law's ``time`` maps two uniforms to a draw from the law."""
 
     @pytest.mark.parametrize("dist", MAP_LAWS, ids=repr)
     def test_samples_follow_the_cdf(self, dist, rng):
-        draws = dist.sample(rng, size=20_000)
+        draws = dist.time(rng.random(20_000), rng.random(20_000), *dist.params)
         assert stats.kstest(draws, dist.cdf).pvalue > 1e-3
 
     @pytest.mark.parametrize("dist", EXTREME_LAWS, ids=repr)
@@ -273,12 +273,6 @@ class TestTimeMaps:
         tau = dist.time(u1, u2, *dist.params)
         assert np.all(np.isfinite(tau)) and np.all(tau > 0)
         assert np.all(dist.pdf(tau) > 0)  # the filter can condition on every draw
-
-    @pytest.mark.parametrize("dist", MAP_LAWS, ids=repr)
-    def test_sample_is_the_map_on_two_blocks(self, dist):
-        u = np.random.default_rng(3).random((2, 50))
-        np.testing.assert_array_equal(dist.sample(np.random.default_rng(3), 50),
-                                      dist.time(u[0], u[1], *dist.params))
 
 
 TINY = np.finfo(float).tiny
@@ -326,7 +320,7 @@ class TestGaussianFunctions:
 
     @pytest.mark.parametrize("dist", [
         InverseGaussian(5.0, 250.0), InverseGaussian(1e-3, 1e-3), TruncatedGaussian(10.0, 1.5),
-        TruncatedGaussian(-38.4, 1.0), TruncatedGaussian(38.0, 1.0), TruncatedGaussian(-7.0, 0.5),
+        TruncatedGaussian(-37.51, 1.0), TruncatedGaussian(38.0, 1.0), TruncatedGaussian(-7.0, 0.5),
     ], ids=repr)
     def test_time_maps_at_the_generator_ends(self, dist):
         # The maps as written on scipy.special, at u1 = 0, 2**-53 and 1 - 2**-53.
@@ -347,10 +341,12 @@ class TestGaussianFunctions:
         assert np.all(np.isfinite(tau)) and np.all(tau > 0)
 
     def test_law_is_rejected_once_its_mass_underflows(self):
-        # libm's erfc runs down through the subnormals: Phi(-38.4) = 7e-323.
-        assert TruncatedGaussian(-38.4, 1.0)._mass > 0.0
-        with pytest.raises(ValueError, match="no mass"):
-            TruncatedGaussian(-38.5, 1.0)
+        # Phi(-37.51) = 3.2e-308 is still a normal float; below 2.2e-308 (mu /
+        # sigma < -37.52) libm's erfc runs down through the subnormals, losing digits.
+        assert TruncatedGaussian(-37.51, 1.0)._mass >= TINY
+        for mu in (-37.53, -38.4):
+            with pytest.raises(ValueError, match="no mass"):
+                TruncatedGaussian(mu, 1.0)
 
     def test_mass_is_not_a_field(self):
         a, b = TruncatedGaussian(10.0, 1.5), TruncatedGaussian(10.0, 1.5)
@@ -427,7 +423,7 @@ def test_package_import_leaves_out_quadrature():
         rng = np.random.default_rng(0)
         for law in (InverseGaussian(5.0, 250.0), DeterministicAtom(12.0),
                     TruncatedGaussian(10.0, 1.5)):
-            law.cdf(law.sample(rng))
+            law.cdf(law.time(rng.random(), rng.random(), *law.params))
             law.expected_discount(0.02)
         loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         assert not loaded, loaded

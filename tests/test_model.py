@@ -353,6 +353,9 @@ MALFORMED = {
     # P(X > 0) underflows to 0, so the law has no density or cdf.
     "truncated_gaussian_without_mass": lambda doc: doc["sojourn"][0].update(
         dist={"type": "truncated_gaussian", "mu": -40.0, "sigma": 1.0}),
+    # P(X > 0) is subnormal, so the law's pdf and cdf would be off by percents.
+    "truncated_gaussian_with_subnormal_mass": lambda doc: doc["sojourn"][0].update(
+        dist={"type": "truncated_gaussian", "mu": -38.4, "sigma": 1.0}),
     "sojourn_is_number": lambda doc: doc.update(sojourn=5),
     "states_is_number": lambda doc: doc.update(states=5),
     "mixed_observable_without_hidden_labels": lambda doc: doc["mixed_observable"].pop(

@@ -9,6 +9,7 @@ import oracles
 from scipy import stats
 
 import posmdp
+from posmdp.belief import observation_time_likelihood, update_with_time
 from posmdp.sampler import (
     SampleBank,
     bank_to_dict,
@@ -128,6 +129,42 @@ class TestCollect:
                     assert stats.kstest(times, dist.cdf).pvalue > 1e-3
                     tested += 1
         assert tested >= 2
+
+    def test_first_step_has_the_predictive_law(self, random_model_factory):
+        # Atom times that depend on (a, s') only, shared by two successors under
+        # each action, so that o moves the posterior. A bank of two beliefs is
+        # one step from xi_0: its (a, tau, posterior) must have the law of a
+        # uniform action and the predictive masses P(tau, o | xi_0, a).
+        model = random_model_factory(np.random.default_rng(4))
+        atoms = [[1.0, 1.0, 2.0], [3.0, 4.0, 4.0]]
+        model = dataclasses.replace(model, sojourn={
+            key: posmdp.DeterministicAtom(atoms[key[1]][key[2]]) for key in model.sojourn})
+        xi0 = model.initial_belief
+        cells, expected = [], []  # distinct (a, tau, posterior), and its probability
+
+        def cell(a, tau, posterior):
+            for i, (b, t, p) in enumerate(cells):
+                if (b, t) == (a, tau) and np.allclose(p, posterior, rtol=0, atol=1e-12):
+                    return i
+            cells.append((a, tau, posterior))
+            expected.append(0.0)
+            return len(cells) - 1
+
+        for a, taus in enumerate(atoms):
+            for tau in sorted(set(taus)):
+                masses, _ = observation_time_likelihood(model, xi0, a, tau)
+                for o in range(model.n_observations):
+                    posterior = update_with_time(model, xi0, a, tau, o)
+                    expected[cell(a, tau, posterior)] += masses[o] / model.n_actions
+        assert len(cells) == 8  # tau = 2 and tau = 3 name their successor
+        assert sum(expected) == pytest.approx(1.0, abs=1e-12)
+        seeds, n_cells = 3000, len(cells)
+        observed = np.zeros(n_cells)
+        for seed in range(seeds):
+            bank = collect(model, 2, seed)
+            observed[cell(bank.origins[0, 1], bank.times[0], bank.beliefs[1])] += 1
+        assert len(cells) == n_cells
+        assert stats.chisquare(observed, seeds * np.array(expected)).pvalue > 1e-3
 
     def test_invalid_count(self, maintenance_model):
         with pytest.raises(ValueError):

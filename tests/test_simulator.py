@@ -28,9 +28,12 @@ STOP4_LOW = 4 * 3 + 0
 
 
 def transitions(model, s, a, rng, n):
-    """``n`` draws of :func:`step` from (s, a) as arrays: ``step`` spends
-    ``rng.random(4)`` per call, so one ``rng.random((n, 4))`` is the same stream."""
-    return simulator._transition(model, np.full(n, s), np.full(n, a), rng.random((n, 4)))
+    """``n`` draws of :func:`step` from (s, a) as arrays (s', tau, o, reward):
+    ``step`` spends ``rng.random(4)`` per call, so one ``rng.random((n, 4))``
+    is the same stream."""
+    s, a = np.full(n, s), np.full(n, a)
+    s2, tau, o = model.draw_transitions(s, a, rng.random((n, 4)))
+    return s2, tau, o, simulator._stage(model, s, a, s2, tau)[0]
 
 
 class TestStep:
@@ -71,7 +74,7 @@ class TestStep:
 
     def test_transition_frequencies(self, maintenance_model, rng):
         n = 20_000
-        s2, _, _, _, _ = transitions(maintenance_model, 0, 0, rng, n)
+        s2, _, _, _ = transitions(maintenance_model, 0, 0, rng, n)
         counts = np.bincount(s2, minlength=4)
         p = maintenance_model.transition[0, 0]
         freq = counts / n
@@ -81,7 +84,7 @@ class TestStep:
     def test_observation_frequencies_follow_kernel(self, maintenance_model, rng):
         # Condition on landing back in the good state under replacement.
         n = 10_000
-        s2, _, o, _, _ = transitions(maintenance_model, 3, 3, rng, n)
+        s2, _, o, _ = transitions(maintenance_model, 3, 3, rng, n)
         assert np.all(s2 == 0)
         hist = np.bincount(o, minlength=100)
         g = maintenance_model.observation_kernel[3, 0]
