@@ -5,6 +5,7 @@ beta), scipy.special (the normal cdf and quantiles) and adaptive quadrature,
 frozen as literals where noted.
 """
 
+import dataclasses
 import importlib
 import math
 import os
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import make_random_model
 from scipy import integrate, special, stats
 
 import posmdp
@@ -273,6 +275,21 @@ class TestTimeMaps:
         tau = dist.time(u1, u2, *dist.params)
         assert np.all(np.isfinite(tau)) and np.all(tau > 0)
         assert np.all(dist.pdf(tau) > 0)  # the filter can condition on every draw
+
+    @pytest.mark.parametrize("dist", MAP_LAWS, ids=repr)
+    def test_sample_is_the_map_on_two_blocks(self, dist):
+        # The transition kernel draws tau by the law of (s, a, s') on the
+        # kernel's uniform columns 1 and 2, beside the other laws of (s, a).
+        model = make_random_model(np.random.default_rng(3))
+        model = dataclasses.replace(model, sojourn={
+            key: dist if key[2] == 1 else law for key, law in model.sojourn.items()})
+        u = np.random.default_rng(3).random((50, 4))
+        s2, tau, _ = model.draw_transitions(np.zeros(50, int), np.zeros(50, int), u)
+        assert len(set(s2.tolist())) > 1
+        for j in set(s2.tolist()):
+            law, rows = model.sojourn[(0, 0, j)], s2 == j
+            np.testing.assert_array_equal(tau[rows],
+                                          law.time(u[rows, 1], u[rows, 2], *law.params))
 
 
 TINY = np.finfo(float).tiny
