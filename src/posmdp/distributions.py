@@ -68,32 +68,25 @@ def _log_ndtr(x):
     return -0.5 * x * x - math.log(-x * _SQRT_2PI) + math.log(total)
 
 
-# AS241's numerator and denominator in r - 5, r = sqrt(-log p) > 5, lowest order first.
-_TAIL_NUM = (6.65790464350110377720e+0, 5.46378491116411436990e+0, 1.78482653991729133580e+0,
-             2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-             2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_TAIL_DEN = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-             1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
-             1.42151175831644588870e-7, 2.04426310338993978564e-15)
-
-
 def _ndtri_exp(y):
-    """Phi^-1(exp(y)) for y < 0; within 2e-15 relative of scipy's down to y = -800.
+    """Phi^-1(exp(y)) for y < 0; within 1e-15 relative of scipy's down to y = -800.
 
     The package passes y no lower than about -745: ``log1p(-u1) >= log
     2**-53``, and a truncated Gaussian whose ``Phi(mu / sigma)`` is subnormal
-    is rejected on load. Below y = -1000 AS241's tail drifts (6e-14 at
-    -1000, 1.3e-8 at -1e4).
+    is rejected on load. Below y = -700, where exp(y) nears the subnormals,
+    four Newton steps on ``log Phi(x) = y`` from ``x = -sqrt(-2 y)``: log Phi
+    is increasing and concave and starts below y, so each step rises towards
+    the root from the left.
     """
     if y >= -math.log(2.0):
         return -_ndtri(-math.expm1(y))  # 1 - p without cancellation
-    if y >= -25.0:
+    if y >= -700.0:
         return _ndtri(math.exp(y))
-    r = math.sqrt(-y) - 5.0  # AS241's branch for r > 5, without exp(y) underflowing
-    num = den = 0.0
-    for n, d in zip(reversed(_TAIL_NUM), reversed(_TAIL_DEN)):
-        num, den = num * r + n, den * r + d
-    return -num / den
+    x = -math.sqrt(-2.0 * y)
+    for _ in range(4):
+        fx = _log_ndtr(x)  # the step (fx - y) / (log Phi)'(x), (log Phi)' = phi / Phi
+        x -= (fx - y) * math.exp(fx + 0.5 * x * x) * _SQRT_2PI
+    return x
 
 
 def _elementwise(f):

@@ -98,6 +98,8 @@ class PosmdpModel:
 
     def __post_init__(self):
         n_s, n_a, n_o = self.n_states, self.n_actions, self.n_observations
+        if len(set(self.actions)) != n_a:  # policy files and admissible name actions by label
+            raise ValueError(f"action labels must be distinct, got {list(self.actions)}")
         if self.admissible is None:
             object.__setattr__(self, "admissible", np.ones((n_s, n_a), dtype=bool))
         for name in ("transition", "observation_kernel", "lump_reward", "rate_reward",
@@ -266,8 +268,7 @@ def validate(model: PosmdpModel) -> ValidationReport:
             ]
             if not dists or any(d is None for _, d in dists):
                 continue  # already reported above
-            floors = [d.atom if d.atom is not None else d.mean() for _, d in dists]
-            tau_check = min(floors) / 2.0
+            tau_check = min(d.mean() for _, d in dists) / 2.0
             mass = sum(p * d.cdf(tau_check) for p, d in dists)
             if mass > 1.0 - 1e-9:
                 v.append(f"(s={s}, a={int(a)}) allows an unbounded burst of epochs: "
@@ -576,43 +577,21 @@ def model_from_dict(doc: dict) -> PosmdpModel:
                                ) from exc
 
 
+def _json_list(doc: dict, name: str) -> list:
+    # tuple() of a JSON string would split it into one label per character.
+    if not isinstance(doc[name], list):
+        raise ModelFormatError(f"{name} must be a JSON list")
+    return doc[name]
+
+
 def _parse_model(doc: dict) -> PosmdpModel:
+    states, actions = tuple(_json_list(doc, "states")), tuple(_json_list(doc, "actions"))
+
     # Indices go through operator.index, so that 0.5 is rejected, not read as 0.
-    states = tuple(doc["states"])
-    actions = tuple(doc["actions"])
-
-    obs_field = doc["observations"]
-    if isinstance(obs_field, dict):
-        if set(obs_field) != {"bins"}:
-            raise ModelFormatError("observations object must be {'bins': j}")
-        bins = operator.index(obs_field["bins"])
-        observations = tuple(f"o{k:03d}" for k in range(bins))
-    else:
-        observations = tuple(obs_field)
-        bins = len(observations)
-
     sojourn = {}
     for rec in doc["sojourn"]:
         key = tuple(operator.index(rec[name]) for name in ("s", "a", "s_next"))
         sojourn[key] = _dist_from_dict(rec["dist"])
-
-    kernel_field = doc["observation_kernel"]
-    if isinstance(kernel_field, dict):
-        if set(kernel_field) != {"beta"}:
-            raise ModelFormatError("observation_kernel object must be {'beta': [...]}")
-        kernel = np.zeros((len(actions), len(states), bins))
-        for rec in kernel_field["beta"]:
-            row = discretized_beta_row(BetaDensity(rec["phi"], rec["eta"]), bins)
-            if "s_next" in rec:
-                kernel[:, _kernel_index(rec, "s_next", len(states)), :] = row
-            elif "a" in rec:
-                kernel[_kernel_index(rec, "a", len(actions)), :, :] = row
-            else:
-                raise ModelFormatError(
-                    f"beta kernel record needs 'a' or 's_next': {rec!r}"
-                )
-    else:
-        kernel = np.asarray(kernel_field, dtype=float)
 
     admissible = None
     if "admissible" in doc:
@@ -628,18 +607,18 @@ def _parse_model(doc: dict) -> PosmdpModel:
     if "mixed_observable" in doc:
         m = doc["mixed_observable"]
         mixed = MixedObservable(
-            observable_labels=tuple(m["observable_labels"]),
-            hidden_labels=tuple(m["hidden_labels"]),
+            observable_labels=tuple(_json_list(m, "observable_labels")),
+            hidden_labels=tuple(_json_list(m, "hidden_labels")),
             state_coords=tuple(tuple(c) for c in m["state_coords"]),
         )
 
     return PosmdpModel(
         states=states,
         actions=actions,
-        observations=observations,
+        observations=tuple(_json_list(doc, "observations")),
         transition=np.asarray(doc["transition"], dtype=float),
         sojourn=sojourn,
-        observation_kernel=kernel,
+        observation_kernel=np.asarray(_json_list(doc, "observation_kernel"), dtype=float),
         lump_reward=np.asarray(doc["r1"], dtype=float),
         rate_reward=np.asarray(doc["r2"], dtype=float),
         beta=float(doc["beta"]),
@@ -647,15 +626,6 @@ def _parse_model(doc: dict) -> PosmdpModel:
         admissible=admissible,
         mixed_observable=mixed,
     )
-
-
-def _kernel_index(rec: dict, name: str, size: int) -> int:
-    # A negative index would wrap onto another row instead of failing.
-    index = operator.index(rec[name])
-    if not 0 <= index < size:
-        raise ModelFormatError(f"beta kernel record '{name}' is {index}, "
-                               f"outside 0..{size - 1}")
-    return index
 
 
 def load_model(source) -> PosmdpModel:

@@ -78,20 +78,25 @@ def mixture_density(bank: SampleBank, model, tau):
     point only atom components contribute and elsewhere only continuous ones;
     scalar or array ``tau``, each distinct time evaluated once.
     """
-    taus, inverse = np.unique(np.atleast_1d(np.asarray(tau, dtype=float)), return_inverse=True)
-    blocks = [model.sojourn_density_samples(a, taus) for a in range(model.n_actions)]
-    out = _mixture_from_blocks(bank.weights, blocks)[inverse]
+    _, inverse, _, density = mixture_blocks(bank, model, np.atleast_1d(tau))
+    out = density[inverse]
     return out if np.ndim(tau) else float(out[0])
 
 
-def _mixture_from_blocks(weights, blocks):
-    """D at the times of per-action ``[tau, s, s']`` density ``blocks``: the terms
-    ``w f`` of the cells with ``w != 0``, summed from zero left to right in ``(s,
-    a, s')`` order (``np.sum`` would pair them and change D in its last bits)."""
-    f = np.stack(blocks, axis=2).reshape(len(blocks[0]), weights.size)  # [tau, s a s']
-    live = weights.ravel() != 0.0
-    terms = np.hstack([np.zeros((len(f), 1)), f[:, live] * weights.ravel()[live]])
-    return np.cumsum(terms, axis=1)[:, -1]
+def mixture_blocks(bank: SampleBank, model, tau):
+    """The distinct times ``taus`` of the array ``tau`` and its ``inverse`` map onto
+    them, the per-action ``[tau, s, s']`` density blocks at ``taus`` and D there.
+
+    D sums the terms ``w f`` of the cells with ``w != 0`` from zero left to
+    right in ``(s, a, s')`` order (``np.sum`` would pair them and change D in
+    its last bits).
+    """
+    taus, inverse = np.unique(np.asarray(tau, dtype=float), return_inverse=True)
+    blocks = [model.sojourn_density_samples(a, taus) for a in range(model.n_actions)]
+    f = np.stack(blocks, axis=2).reshape(taus.size, bank.weights.size)  # [tau, s a s']
+    live = bank.weights.ravel() != 0.0
+    terms = np.hstack([np.zeros((taus.size, 1)), f[:, live] * bank.weights.ravel()[live]])
+    return taus, inverse, blocks, np.cumsum(terms, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,8 @@ def run_episodes(model, value_function, xi0, epochs: int, rngs, histories=None) 
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     n = len(rngs)
+    if n < 1:
+        raise ValueError("run_episodes needs at least one generator, got none")
     states = draw_rows(np.cumsum(xi0), np.array([rng.random() for rng in rngs]))
     xi = np.tile(np.asarray(xi0, dtype=float), (n, 1))
     returns, discount = np.zeros(n), np.ones(n)

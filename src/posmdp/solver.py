@@ -38,7 +38,7 @@ from itertools import compress
 import numpy as np
 
 from .model import ModelFormatError, compute_stage_reward, model_hash
-from .sampler import SampleBank, _mixture_from_blocks
+from .sampler import SampleBank, mixture_blocks
 # Kept as a name of this module: bench/tracer.py wraps it here.
 from .sampler import mixture_density  # noqa: F401
 
@@ -178,10 +178,8 @@ class BackupCache:
     def __init__(self, model, bank: SampleBank):
         self.beliefs = bank.beliefs  # [b, s]
         self.stage_reward = compute_stage_reward(model).values  # [s, a]
-        taus, inverse = np.unique(bank.times, return_inverse=True)
-        blocks = [model.sojourn_density_samples(a, taus) for a in range(model.n_actions)]
-        density = _mixture_from_blocks(bank.weights, blocks)[inverse]
-        kappa_all = np.exp(-model.beta * bank.times) / density / max(bank.n_samples, 1)
+        taus, inverse, blocks, density = mixture_blocks(bank, model, bank.times)
+        kappa_all = np.exp(-model.beta * bank.times) / density[inverse] / max(bank.n_samples, 1)
         kappa_tau = np.bincount(inverse, kappa_all, taus.size)
         n_s = model.n_states
         shapes, self.kappa = [], []  # per action: [g, s s'] scaled rows, [g] weights

@@ -47,7 +47,7 @@ def test_hooks_read_a_traced_solve(tracer_module, maintenance_model):
         tracer.install()
         with tracer.root("run"):
             bank = sampler.collect(maintenance_model, 60, 0)
-            # The sample-based initial bound does not apply to this bank.
+            # v0 is solve's default start bound, given as the workload gives it.
             solver.solve(maintenance_model, bank, v0=solver.conservative_value_function(
                 maintenance_model), seed=0)
     finally:

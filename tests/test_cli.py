@@ -65,6 +65,21 @@ class TestValidate:
         assert err.startswith("error: transition has shape")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("observations", {"bins": 5}),
+        ("observation_kernel", {"beta": [{"s_next": 0, "phi": 2, "eta": 18}]}),
+    ], ids=["observations", "observation_kernel"])
+    def test_object_form_is_format_error(self, field, value, bus_model, tmp_path, capsys):
+        # A model file is the JSON save_model writes: each field has its list form only.
+        doc = model_to_dict(bus_model)
+        doc[field] = value
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be a JSON list")
+        assert "Traceback" not in err
+
 
 class TestCollect:
     def test_writes_bank(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from posmdp.distributions import DeterministicAtom, InverseGaussian, TruncatedGa
 from posmdp.model import (
     ModelFormatError,
     build_builtin,
+    build_maintenance_problem,
     discretized_beta_row,
     load_model,
     model_from_dict,
@@ -325,13 +326,6 @@ def _set_nan(array, *index):
     array[index[-1]] = math.nan
 
 
-def _beta_kernel(doc, key, count, extra):
-    """Cover every ``key`` index with a beta row, then add one ``extra`` record,
-    which would only overwrite another row if its index wrapped."""
-    rows = [{key: i, "phi": 2, "eta": 18} for i in range(count)]
-    doc.update(observation_kernel={"beta": rows + [{key: extra, "phi": 6, "eta": 18}]})
-
-
 MALFORMED = {
     "nan_beta": lambda doc: doc.update(beta=math.nan),
     "negative_beta": lambda doc: doc.update(beta=-0.02),
@@ -367,12 +361,16 @@ MALFORMED = {
         1, [0, 0]),
     "state_coords_too_few": lambda doc: doc["mixed_observable"].update(
         state_coords=doc["mixed_observable"]["state_coords"][:5]),
-    "beta_kernel_record_without_phi": lambda doc: doc.update(
-        observation_kernel={"beta": [{"s_next": 0, "eta": 18}]}),
-    "beta_kernel_s_next_negative": lambda doc: _beta_kernel(doc, "s_next", 15, -4),
-    "beta_kernel_s_next_too_large": lambda doc: _beta_kernel(doc, "s_next", 15, 15),
-    "beta_kernel_action_negative": lambda doc: _beta_kernel(doc, "a", 2, -1),
-    "beta_kernel_action_too_large": lambda doc: _beta_kernel(doc, "a", 2, 2),
+    "actions_repeated": lambda doc: doc.update(actions=["go", "go"]),
+    "actions_is_string": lambda doc: doc.update(actions="ab"),
+    # Strings of the right length, which tuple() would split into one label per character.
+    "observable_labels_is_string": lambda doc: doc["mixed_observable"].update(
+        observable_labels="01234"),
+    "hidden_labels_is_string": lambda doc: doc["mixed_observable"].update(hidden_labels="lmh"),
+    # The retired shorthands: observations as {"bins": j}, a kernel of beta rows.
+    "observations_is_object": lambda doc: doc.update(observations={"bins": 5}),
+    "observation_kernel_is_object": lambda doc: doc.update(observation_kernel={
+        "beta": [{"s_next": i, "phi": 2, "eta": 18} for i in range(15)]}),
 }
 
 
@@ -383,14 +381,6 @@ class TestMalformedDocuments:
         MALFORMED[mutation](doc)
         with pytest.raises(ModelFormatError):
             load_model(io.StringIO(json.dumps(doc)))
-
-
-@pytest.mark.parametrize("key, count", [("s_next", 15), ("a", 2)])
-def test_beta_kernel_cover_loads(key, count, bus_model):
-    # The malformed beta-kernel cases differ from this document by their extra record.
-    doc = model_to_dict(bus_model)
-    _beta_kernel(doc, key, count, 0)
-    load_model(io.StringIO(json.dumps(doc)))
 
 
 class TestSerialization:
@@ -412,6 +402,16 @@ class TestSerialization:
         save_model(maintenance_model, path)
         loaded = load_model(path)
         assert model_hash(loaded) == model_hash(maintenance_model)
+
+    def test_round_trip_beta_discretized_kernel(self, tmp_path):
+        # Other bin counts go through save_model; the file holds the kernel itself.
+        model = build_maintenance_problem(observation_bins=10)
+        path = tmp_path / "maintenance10.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.n_observations == 10
+        np.testing.assert_array_equal(loaded.observation_kernel, model.observation_kernel)
+        assert model_hash(loaded) == model_hash(model)
 
     def test_hash_changes_with_model(self, bus_model):
         shifted = dataclasses.replace(
@@ -450,28 +450,6 @@ class TestSerialization:
     def test_invalid_json(self):
         with pytest.raises(ModelFormatError, match="invalid JSON"):
             load_model(io.StringIO("{not json"))
-
-    def test_observation_bins_shorthand(self, maintenance_model):
-        doc = model_to_dict(maintenance_model)
-        doc["observations"] = {"bins": 100}
-        loaded = model_from_dict(doc)
-        assert loaded.n_observations == 100
-
-    def test_beta_kernel_shorthand(self, maintenance_model):
-        doc = model_to_dict(maintenance_model)
-        doc["observations"] = {"bins": 100}
-        doc["observation_kernel"] = {
-            "beta": [
-                {"s_next": 0, "phi": 2, "eta": 18},
-                {"s_next": 1, "phi": 6, "eta": 18},
-                {"s_next": 2, "phi": 18, "eta": 18},
-                {"s_next": 3, "phi": 18, "eta": 6},
-            ]
-        }
-        loaded = model_from_dict(doc)
-        np.testing.assert_allclose(
-            loaded.observation_kernel, maintenance_model.observation_kernel
-        )
 
     def test_validation_failure_on_load(self, bus_model):
         doc = model_to_dict(bus_model)

@@ -117,6 +117,11 @@ class TestRollout:
         with pytest.raises(ValueError):
             rollout(maintenance_model, vf, maintenance_model.initial_belief, 0, rng)
 
+    def test_episodes_need_a_generator(self, maintenance_model):
+        vf = constant_value_function(maintenance_model, 0.0)
+        with pytest.raises(ValueError, match="at least one generator"):
+            run_episodes(maintenance_model, vf, maintenance_model.initial_belief, 5, [])
+
     def test_discount_composition_bike_cycle(self, bus_model, rng):
         # Always-bike is fully deterministic: 30 minutes to the goal, a 455
         # minute reset paying 100, then again. Discounts must compound over

@@ -21,6 +21,7 @@ from posmdp.solver import (
     BackupCache,
     InitialValueError,
     PolicyMismatchError,
+    SolveResult,
     ValueFunction,
     _backup_stages,
     _bellman_sweep,
@@ -662,6 +663,16 @@ class TestPolicyFiles:
                                       result.value_function.actions)
         assert loaded.converged == result.converged
         assert loaded.iterations == result.iterations
+
+    def test_action_indices_round_trip_by_label(self, tmp_path, bus_model):
+        # Policy files name actions by label, so a label must pick out one index:
+        # with actions ("go", "go") a vector of action 1 would load as action 0.
+        vf = ValueFunction([AlphaVector(np.zeros(15), 1), AlphaVector(np.ones(15), 0)])
+        path = tmp_path / "policy.json"
+        save_policy(SolveResult(vf, converged=True), bus_model, path)
+        assert load_policy(path, bus_model).value_function.actions.tolist() == [1, 0]
+        with pytest.raises(ValueError, match="distinct"):
+            dataclasses.replace(bus_model, actions=("go", "go"))
 
     def test_model_mismatch(self, tmp_path, bus_model, maintenance_model):
         bank = collect(bus_model, 10, seed=0)
