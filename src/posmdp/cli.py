@@ -13,7 +13,9 @@ Models are given either as a JSON file path or as a built-in name (``bus``,
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
+from itertools import combinations
 
 import numpy as np
 
@@ -36,8 +38,8 @@ def _load_model(args):
 def _positive(kind):
     def parse(text):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
     return parse
 
@@ -72,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="constant initial value (default: the lower bound "
                               "from the expected per-stage discount)")
     p_solve.add_argument("--output", default="policy.json", help="policy file to write")
-    p_solve.add_argument("--bank", default=None, help="also write the sample bank here")
 
     p_sim = sub.add_parser("simulate", help="evaluate a saved policy by rollout")
     add_common(p_sim)
@@ -116,8 +117,6 @@ def cmd_solve(args) -> int:
               f"residual {rec.residual:.6g}  min_improvement {rec.min_improvement:.6g}  "
               f"{rec.wall_time:.2f}s")
     solver.save_policy(result, model, args.output)
-    if args.bank is not None:
-        sampler.save_bank(bank, args.bank)
     if not result.converged:
         print(f"did not converge within {args.max_iters} iterations; "
               f"policy written to {args.output} anyway", file=sys.stderr)
@@ -157,21 +156,15 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_ERROR
 
 
-def simplex_lattice(dimensions: int, resolution: int):
-    """All probability vectors with entries that are multiples of 1/resolution.
-
-    Deterministic lexicographic order; C(resolution + d - 1, d - 1) points.
+def simplex_lattice(dimensions: int, resolution: int) -> np.ndarray:
+    """All probability vectors with entries that are multiples of 1/resolution, as the
+    rows of a [C(resolution + d - 1, d - 1), d] array in descending lexicographic order
+    (stars and bars, d - 1 bars in resolution + d - 1 slots, in reverse order).
     """
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total, -1, -1):
-            for tail in compositions(total - head, parts - 1):
-                yield (head,) + tail
-
-    for counts in compositions(resolution, dimensions):
-        yield np.array(counts, dtype=float) / resolution
+    slots = resolution + dimensions - 1
+    bars = np.array(list(combinations(range(slots), dimensions - 1)), dtype=int)  # [n, d - 1]
+    counts = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    return counts[::-1] / resolution
 
 
 def cmd_export_mesh(args) -> int:
@@ -184,25 +177,21 @@ def cmd_export_mesh(args) -> int:
         return EXIT_ERROR
     vf = result.value_function
     n_hidden = len(mixed.hidden_labels)
-    # state index for each (observable, hidden) pair
+    points = simplex_lattice(n_hidden, args.mesh_resolution)
     coord_to_state = {coords: s for s, coords in enumerate(mixed.state_coords)}
-
-    lines = ["observable," + ",".join(f"belief_{i + 1}" for i in range(n_hidden))
-             + ",action,value"]
-    for obs_idx, obs_label in enumerate(mixed.observable_labels):
-        for point in simplex_lattice(n_hidden, args.mesh_resolution):
-            belief = np.zeros(model.n_states)
-            for h in range(n_hidden):
-                belief[coord_to_state[(obs_idx, h)]] = point[h]
-            action = model.actions[vf.action_at(belief)]
-            value = vf.value_at(belief)
-            cells = [str(obs_label)]
-            cells += [f"{x:.17g}" for x in point]
-            cells += [action, f"{value:.17g}"]
-            lines.append(",".join(cells))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"{len(lines) - 1} mesh rows written to {args.output}")
+    with open(args.output, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["observable", *(f"belief_{i + 1}" for i in range(n_hidden)),
+                         "action", "value"])
+        for obs_idx, obs_label in enumerate(mixed.observable_labels):
+            beliefs = np.zeros((len(points), model.n_states))
+            beliefs[:, [coord_to_state[(obs_idx, h)] for h in range(n_hidden)]] = points
+            # Row by row: a block product differs from these in the last bits.
+            for point, belief in zip(points, beliefs):
+                writer.writerow([str(obs_label), *(f"{x:.17g}" for x in point),
+                                 model.actions[vf.action_at(belief)],
+                                 f"{vf.value_at(belief):.17g}"])
+    print(f"{len(points) * len(mixed.observable_labels)} mesh rows written to {args.output}")
     return EXIT_OK
 
 

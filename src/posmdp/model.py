@@ -489,13 +489,6 @@ def build_builtin(name: str, observation_bins: int = 100) -> PosmdpModel:
 # Model file format
 # ---------------------------------------------------------------------------
 
-_TOP_LEVEL_KEYS = {
-    "version", "states", "actions", "admissible", "observations", "transition",
-    "sojourn", "observation_kernel", "r1", "r2", "beta", "initial_belief",
-    "mixed_observable",
-}
-
-
 # Per sojourn law class: its file tag and the file keys of its fields, in order.
 _SOJOURN_TAGS = {InverseGaussian: ("inverse_gaussian", ("mu", "lambda")),
                  DeterministicAtom: ("atom", ("c0",)),
@@ -509,12 +502,13 @@ def _dist_to_dict(dist: SojournDistribution) -> dict:
     raise TypeError(f"unsupported sojourn distribution {type(dist).__name__}")
 
 
-def _dist_from_dict(doc: dict) -> SojournDistribution:
-    kind = doc.get("type")
+def _dist_from_dict(doc, where: str) -> SojournDistribution:
+    kind = doc.get("type") if isinstance(doc, dict) else None
     for law, (tag, keys) in _SOJOURN_TAGS.items():
         if kind == tag:
+            _check_keys(doc, {"type", *keys}, where)
             return law(*(doc[key] for key in keys))
-    raise ModelFormatError(f"unknown sojourn distribution tag {kind!r}")
+    raise ModelFormatError(f"{where}: unknown sojourn distribution tag {kind!r}")
 
 
 def model_to_dict(model: PosmdpModel) -> dict:
@@ -555,15 +549,9 @@ def model_from_dict(doc: dict) -> PosmdpModel:
     non-integer index or an array of the wrong shape, ends in
     :class:`ModelFormatError`.
     """
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ModelFormatError(f"unknown top-level keys: {sorted(unknown)}")
-    missing = {"version", "states", "actions", "observations", "transition", "sojourn",
-               "observation_kernel", "r1", "r2", "beta", "initial_belief"} - set(doc)
-    if missing:
-        raise ModelFormatError(f"missing required keys: {sorted(missing)}")
+    _check_keys(doc, {"version", "states", "actions", "observations", "transition", "sojourn",
+                      "observation_kernel", "r1", "r2", "beta", "initial_belief"},
+                "model document", optional={"admissible", "mixed_observable"})
     if doc["version"] != MODEL_FILE_VERSION:
         raise ModelFormatError(f"unsupported model file version {doc['version']!r}")
     try:
@@ -575,6 +563,16 @@ def model_from_dict(doc: dict) -> PosmdpModel:
     except (AttributeError, IndexError, KeyError, TypeError) as exc:
         raise ModelFormatError(f"malformed model document: {type(exc).__name__}: {exc}"
                                ) from exc
+
+
+def _check_keys(obj, keys: set, where: str, optional=frozenset()) -> None:
+    """Raise :class:`ModelFormatError` unless ``obj`` is a JSON object holding every
+    key in ``keys`` and no key outside ``keys`` and ``optional``."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where} must be a JSON object")
+    missing, unknown = sorted(keys - set(obj)), sorted(set(obj) - keys - optional)
+    if missing or unknown:
+        raise ModelFormatError(f"{where}: missing keys {missing}, unknown keys {unknown}")
 
 
 def _json_list(doc: dict, name: str) -> list:
@@ -589,9 +587,12 @@ def _parse_model(doc: dict) -> PosmdpModel:
 
     # Indices go through operator.index, so that 0.5 is rejected, not read as 0.
     sojourn = {}
-    for rec in doc["sojourn"]:
+    for i, rec in enumerate(doc["sojourn"]):
+        _check_keys(rec, {"s", "a", "s_next", "dist"}, f"sojourn[{i}]")
         key = tuple(operator.index(rec[name]) for name in ("s", "a", "s_next"))
-        sojourn[key] = _dist_from_dict(rec["dist"])
+        if key in sojourn:
+            raise ModelFormatError(f"sojourn[{i}] repeats (s, a, s_next) = {key}")
+        sojourn[key] = _dist_from_dict(rec["dist"], f"sojourn[{i}].dist")
 
     admissible = None
     if "admissible" in doc:
@@ -606,6 +607,7 @@ def _parse_model(doc: dict) -> PosmdpModel:
     mixed = None
     if "mixed_observable" in doc:
         m = doc["mixed_observable"]
+        _check_keys(m, {"observable_labels", "hidden_labels", "state_coords"}, "mixed_observable")
         mixed = MixedObservable(
             observable_labels=tuple(_json_list(m, "observable_labels")),
             hidden_labels=tuple(_json_list(m, "hidden_labels")),
@@ -639,17 +641,21 @@ def load_model(source) -> PosmdpModel:
 
 def _read_model(source) -> PosmdpModel:
     """Parse a model from a path or a file object, without :func:`validate`."""
+    return model_from_dict(_read_json(source, "model file"))
+
+
+def _read_json(source, what: str):
+    """The JSON document in a path or file object; bad JSON is a ModelFormatError on ``what``."""
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, encoding="utf-8") as fh:
             text = fh.read()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                               f"{exc.msg}") from exc
-    return model_from_dict(doc)
+        raise ModelFormatError(f"{what}: invalid JSON at line {exc.lineno}, column "
+                               f"{exc.colno}: {exc.msg}") from exc
 
 
 def save_model(model: PosmdpModel, path) -> None:

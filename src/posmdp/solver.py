@@ -37,7 +37,7 @@ from itertools import compress
 
 import numpy as np
 
-from .model import ModelFormatError, compute_stage_reward, model_hash
+from .model import ModelFormatError, _check_keys, _read_json, compute_stage_reward, model_hash
 from .sampler import SampleBank, mixture_blocks
 # Kept as a name of this module: bench/tracer.py wraps it here.
 from .sampler import mixture_density  # noqa: F401
@@ -398,8 +398,8 @@ def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = No
     cache = BackupCache(model, bank)
     if epsilon is None:
         epsilon = 1e-4 * max(np.abs(cache.stage_reward).max(), 1.0)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     rng = np.random.default_rng(seed)
     vf = v0 if v0 is not None else conservative_value_function(model)
     values = cache.values(vf)
@@ -469,11 +469,7 @@ def load_policy(path, model) -> SolveResult:
     model, and :class:`~posmdp.model.ModelFormatError`, naming the field, when
     the file is malformed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"policy file is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "policy file")
     _check_keys(doc, _POLICY_KEYS, "policy file")
     if doc["model_hash"] != model_hash(model):
         raise PolicyMismatchError(
@@ -500,14 +496,6 @@ def load_policy(path, model) -> SolveResult:
         trace=[IterationRecord(**rec) for rec in doc["trace"]],
         converged=doc["converged"],
     )
-
-
-def _check_keys(obj, keys: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"{where} must be a JSON object")
-    missing, unknown = sorted(keys - set(obj)), sorted(set(obj) - keys)
-    if missing or unknown:
-        raise ModelFormatError(f"{where}: missing keys {missing}, unknown keys {unknown}")
 
 
 def _alpha_from_dict(rec, name: str, model) -> AlphaVector:

@@ -1,5 +1,7 @@
 """End-to-end command-line checks via main(argv)."""
 
+import csv
+import dataclasses
 import json
 import math
 
@@ -8,7 +10,8 @@ import pytest
 
 import posmdp
 from posmdp.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main, simplex_lattice
-from posmdp.model import model_to_dict
+from posmdp.model import model_to_dict, save_model
+from posmdp.solver import AlphaVector, SolveResult, ValueFunction, save_policy
 
 
 class TestValidate:
@@ -99,10 +102,12 @@ class TestSolveSimulate:
         policy = tmp_path / "policy.json"
         bank = tmp_path / "bank.json"
         code = main(["solve", "bus", "--beliefs", "400", "--seed", "0",
-                     "--output", str(policy), "--bank", str(bank)])
+                     "--output", str(policy)])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "converged" in out
+        assert main(["collect", "bus", "--beliefs", "400", "--seed", "0",
+                     "--output", str(bank)]) == EXIT_OK
         assert bank.exists()
 
         code = main(["simulate", "bus", str(policy), "--episodes", "50",
@@ -119,7 +124,9 @@ class TestSolveSimulate:
             policy = tmp_path / f"{name}.json"
             bank = tmp_path / f"{name}-bank.json"
             assert main(["solve", "bus", "--beliefs", "200", "--seed", "3",
-                         "--output", str(policy), "--bank", str(bank)]) == EXIT_OK
+                         "--output", str(policy)]) == EXIT_OK
+            assert main(["collect", "bus", "--beliefs", "200", "--seed", "3",
+                         "--output", str(bank)]) == EXIT_OK
             banks.append(bank.read_bytes())
             doc = json.loads(policy.read_text())
             for rec in doc["trace"]:
@@ -245,6 +252,27 @@ class TestExportMesh:
         assert actions <= {"bus", "bike"}
         capsys.readouterr()
 
+    def test_labels_are_csv_quoted(self, bus_model, tmp_path, capsys):
+        mixed = bus_model.mixed_observable
+        labels = ('stop "zero"', *mixed.observable_labels[1:])
+        model = dataclasses.replace(bus_model, actions=("ride, bus", "bike"),
+                                    mixed_observable=dataclasses.replace(
+                                        mixed, observable_labels=labels))
+        model_path, policy, mesh = (tmp_path / n for n in ("m.json", "p.json", "mesh.csv"))
+        save_model(model, model_path)
+        vf = ValueFunction([AlphaVector(np.ones(model.n_states), 0)])
+        save_policy(SolveResult(vf, converged=True), model, policy)
+        assert main(["export-mesh", str(model_path), str(policy), "--mesh-resolution", "2",
+                     "--output", str(mesh)]) == EXIT_OK
+        with open(mesh, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        per_stop = math.comb(2 + 2, 2)
+        assert len(rows) == len(labels) * per_stop
+        assert all(len(row) == 3 + len(mixed.hidden_labels) for row in [header, *rows])
+        assert [row[0] for row in rows[::per_stop]] == list(labels)
+        assert {row[4] for row in rows} == {"ride, bus"}
+        capsys.readouterr()
+
     def test_requires_mixed_observable(self, tmp_path, capsys):
         policy = tmp_path / "policy.json"
         assert main(["solve", "maintenance", "--beliefs", "40",
@@ -263,6 +291,9 @@ class TestArguments:
             main(["solve", "bus", "--beliefs", "0"])
         with pytest.raises(SystemExit):
             main(["simulate", "bus", "p.json", "--episodes", "-3"])
+        for epsilon in ("nan", "inf"):
+            with pytest.raises(SystemExit):
+                main(["solve", "bus", "--epsilon", epsilon])
 
     def test_observation_bins_applies_to_maintenance(self, tmp_path, capsys):
         out = tmp_path / "bank.json"

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -344,6 +345,12 @@ MALFORMED = {
     "sojourn_record_without_s": lambda doc: doc["sojourn"][0].pop("s"),
     "sojourn_state_not_integer": lambda doc: doc["sojourn"][0].update(s=0.5),
     "sojourn_dist_not_object": lambda doc: doc["sojourn"][0].update(dist=5),
+    # A second law for (s, a, s_next) = (0, 0, 3), which would replace the first.
+    "sojourn_record_repeated": lambda doc: doc["sojourn"].append(
+        {**doc["sojourn"][0], "dist": {"type": "atom", "c0": 7.0}}),
+    "sojourn_record_extra_key": lambda doc: doc["sojourn"][0].update(p=1.0),
+    "inverse_gaussian_extra_key": lambda doc: doc["sojourn"][0]["dist"].update(sigma=1.0),
+    "mixed_observable_extra_key": lambda doc: doc["mixed_observable"].update(extra=1),
     # P(X > 0) underflows to 0, so the law has no density or cdf.
     "truncated_gaussian_without_mass": lambda doc: doc["sojourn"][0].update(
         dist={"type": "truncated_gaussian", "mu": -40.0, "sigma": 1.0}),
@@ -427,7 +434,7 @@ class TestSerialization:
     def test_unknown_top_level_key(self, bus_model):
         doc = model_to_dict(bus_model)
         doc["extra"] = 1
-        with pytest.raises(ModelFormatError, match="unknown top-level"):
+        with pytest.raises(ModelFormatError, match=re.escape("unknown keys ['extra']")):
             model_from_dict(doc)
 
     def test_unknown_distribution_tag(self, bus_model):
@@ -439,7 +446,7 @@ class TestSerialization:
     def test_missing_required_key(self, bus_model):
         doc = model_to_dict(bus_model)
         del doc["transition"]
-        with pytest.raises(ModelFormatError, match="missing required"):
+        with pytest.raises(ModelFormatError, match=re.escape("missing keys ['transition']")):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("text", ["5", " null", '"bus.json"'])

@@ -601,12 +601,13 @@ class TestSolve:
         traced = sum(rec.wall_time for rec in result.trace)
         assert 0.0 <= elapsed - traced <= 0.005
 
-    def test_bad_epsilon(self, random_model_factory):
+    @pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf])
+    def test_bad_epsilon(self, epsilon, random_model_factory):
         rng = np.random.default_rng(10)
         m = random_model_factory(rng)
         bank = collect(m, 5, seed=0)
-        with pytest.raises(ValueError):
-            solve(m, bank, epsilon=0.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            solve(m, bank, epsilon=epsilon)
 
     def test_zero_reward_fixed_point(self, random_model_factory):
         rng = np.random.default_rng(13)
@@ -693,17 +694,21 @@ class TestPolicyFiles:
         (lambda doc: doc["trace"][0].update(residual=None), "trace[0].residual"),
         (lambda doc: doc["trace"][0].update(min_improvement=True), "trace[0].min_improvement"),
         (lambda doc: doc["trace"][0].update(wall_time=math.nan), "trace[0].wall_time"),
+        (None, "policy file: invalid JSON at line 1"),  # the file cut short
     ], ids=["vectors_string", "missing_hash", "unknown_trace_key", "short_values",
             "unknown_action", "iteration_string", "n_vectors_float", "residual_null",
-            "min_improvement_bool", "wall_time_nan"])
+            "min_improvement_bool", "wall_time_nan", "invalid_json"])
     def test_malformed_file_names_the_field(self, mutate, field, tmp_path,
                                             random_model_factory):
         m = random_model_factory(np.random.default_rng(12))
         result = solve(m, collect(m, 30, seed=8), v0=conservative_value_function(m), seed=8)
         path = tmp_path / "policy.json"
         save_policy(result, m, path)
-        doc = json.loads(path.read_text())
-        mutate(doc)
-        path.write_text(json.dumps(doc))
+        if mutate is None:
+            path.write_text(path.read_text()[:-2])
+        else:
+            doc = json.loads(path.read_text())
+            mutate(doc)
+            path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=re.escape(field)):
             load_policy(path, m)
