@@ -220,7 +220,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_ERROR
-    except (model_mod.ModelFormatError, solver.PolicyMismatchError, ValueError) as exc:
+    except (OSError, model_mod.ModelFormatError, solver.PolicyMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

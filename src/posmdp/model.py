@@ -645,12 +645,15 @@ def _read_model(source) -> PosmdpModel:
 
 
 def _read_json(source, what: str):
-    """The JSON document in a path or file object; bad JSON is a ModelFormatError on ``what``."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
+    """JSON from a path or file object; non-UTF-8 text or bad JSON is a ModelFormatError."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{what}: not UTF-8 text ({exc.reason}, byte {exc.start})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -6,10 +6,11 @@ belief replaces the sojourn-time integral in the Bellman operator with a
 Monte Carlo sum over the collected time samples, reweighted by
 ``exp(-beta * tau_n) / D(tau_n)`` against the collection mixture ``D``. The
 solver sees the sojourn laws only through their densities at the sampled
-times: equal times share one term, and so do times whose ``[s, s']`` density
+times: equal times share one group, and so do times whose ``[s, s']`` density
 rows under an action are equal once each is divided by its largest entry (see
 :class:`BackupCache`), which on models with one sojourn law per action leaves
-one term per action.
+one group per action. Groups with bit-identical operator blocks share one,
+even across actions, and (group, observation) terms that are all zero go.
 
 The outer loop backs up a shrinking random subset of the collected beliefs
 until every one of them is improved, and repeats until the sup-norm change
@@ -105,7 +106,8 @@ class ValueFunction:
         return self.actions[np.argmax(np.asarray(belief, dtype=float) @ self.matrix.T, axis=-1)]
 
     def values_at(self, belief_matrix: np.ndarray) -> np.ndarray:
-        return (np.asarray(belief_matrix) @ self.matrix.T).max(axis=1)
+        # The max over v runs faster down the [v, b] rows of a contiguous copy.
+        return np.ascontiguousarray((np.asarray(belief_matrix) @ self.matrix.T).T).max(axis=0)
 
 
 def constant_value_function(model, value: float, action: int = 0) -> ValueFunction:
@@ -166,13 +168,16 @@ class BackupCache:
     one support, is active thus folds into one group per support; other times
     keep a group each. Times with no density under ``a`` are dropped.
 
-    The groups of all actions, concatenated, index ``k``. The cache stores the
-    back-projection operator ``back[k o s, s'] = M_k[s, s'] G_a(k)[o, s']``,
-    and ``weights[k o, a]``, which holds ``kappa_k`` where group ``k`` belongs
-    to action ``a`` and 0 elsewhere, so one product with it sums each action's
-    terms. It also keeps, for the last value function it was asked about, that
-    function's back-projection (see :meth:`projection`) and its values on the
-    beliefs (:meth:`values`), which every backup and pass against it read.
+    The groups of all actions, concatenated, index ``k``; group ``k`` has the
+    operator block ``M_k[s, s'] G_a(k)[o, s']``. Groups with bit-identical
+    blocks (e.g. two actions with one P, G and atom law) share the first one's,
+    whose observations with a nonzero (or NaN) ``[s, s']`` matrix are *terms*,
+    indexed ``j`` in order of first appearance. The cache stores ``back[j s, s']``
+    and ``weights[j, a]``, the summed ``kappa_k`` of action ``a``'s groups that
+    use term ``j``, so one product with it sums each action's terms. It also
+    keeps, for the last value function it was asked about, that function's
+    back-projection (see :meth:`projection`) and its values on the beliefs
+    (:meth:`values`), which every backup and pass against it read.
     """
 
     def __init__(self, model, bank: SampleBank):
@@ -196,21 +201,28 @@ class BackupCache:
             self.kappa.append(np.bincount(which, kappa_tau[live] * level[live], first.size))
         group_action = np.repeat(np.arange(model.n_actions), [k.size for k in self.kappa])
         rows = np.concatenate(shapes).reshape(-1, n_s, n_s)
-        # Gathered from [a, ...] views, so both are C-contiguous and so is back.
         slices = model.transition.transpose(1, 0, 2)[group_action] * rows  # [k, s, s']
         obs = model.observation_kernel.transpose(0, 2, 1)[group_action]  # [k, o, s']
-        self.back = (slices[:, None] * obs[:, :, None]).reshape(-1, n_s)  # [k o s, s']
-        # weights[k o, a]: kappa_k on the columns of action a's groups, else 0.
-        self.weights = np.repeat(np.concatenate(self.kappa)[:, None] * (
-            group_action[:, None] == np.arange(model.n_actions)), model.n_observations, axis=0)
-        self.ko = np.arange(len(self.weights))
+        op = np.multiply(slices[:, None], obs[:, :, None], order="C")  # [k, o, s, s']
+        seen = {}  # block bytes -> first group with them
+        first = np.array([seen.setdefault(b.tobytes(), k) for k, b in enumerate(op)], dtype=int)
+        # Terms: the (group, observation) pairs of each block's first group whose
+        # [s, s'] matrix has a nonzero entry (any() counts NaN as one).
+        live = (first == np.arange(len(op)))[:, None] & op.any(axis=(2, 3))  # [k, o]
+        self.back = op[live].reshape(-1, n_s)  # [j s, s']
+        term = np.cumsum(live).reshape(live.shape) - 1  # [k, o] -> j where live
+        group, o = np.nonzero(live[first])
+        self.weights = np.zeros((live.sum(), model.n_actions))  # [j, a]
+        np.add.at(self.weights, (term[first[group], o], group_action[group]),
+                  np.concatenate(self.kappa)[group])
+        self.terms = np.arange(len(self.weights))
         self._kept = (None,)
 
     def projection(self, vf: ValueFunction) -> np.ndarray:
-        """``proj[v, k o, s] = sum_s' back[k o s, s'] alpha_v[s']``, C-contiguous."""
+        """``proj[v, j, s] = sum_s' back[j s, s'] alpha_v[s']``, C-contiguous."""
         # One slot, keyed by ``vf`` itself (held, so its id cannot pass to another).
         if self._kept[0] is not vf:
-            proj = (vf.matrix @ self.back.T).reshape(len(vf), len(self.ko), self.back.shape[1])
+            proj = (vf.matrix @ self.back.T).reshape(len(vf), len(self.terms), self.back.shape[1])
             self._kept = (vf, proj, vf.values_at(self.beliefs))
         return self._kept[1]
 
@@ -221,7 +233,7 @@ class BackupCache:
 
 
 # Elements of the largest block one chunk of a batched backup materializes:
-# the [b, v, k o] scores and the [b, k o, s] gathered projections (1 MB of
+# the [b, v, j] scores and the [b, j, s] gathered projections (1 MB of
 # float64). Larger blocks were no faster on the built-in models; at 4 MB the
 # maintenance solve used 1.6x its wall time in CPU, as BLAS split the products
 # over threads, and its peak memory grew by 4 MB.
@@ -235,8 +247,8 @@ SCREEN_SLACK = 1e-9
 
 
 def _score(model, xi: np.ndarray, proj: np.ndarray, cache: BackupCache):
-    """Stage 1 for [r, s] beliefs: ``scores[r, v, k o] = xi . proj[v, k o]`` and action
-    values ``q[r, a] = xi . R_a + sum_k kappa_k sum_o max_v scores`` (-inf if inadmissible)."""
+    """Stage 1 for [r, s] beliefs: ``scores[r, v, j] = xi . proj[v, j]`` and action
+    values ``q[r, a] = xi . R_a + sum_j weights[j, a] max_v scores`` (-inf if inadmissible)."""
     inadmissible = (xi > 0) @ ~model.admissible  # [r, a]
     if inadmissible.all(axis=1).any():
         raise ValueError("a belief's support has no commonly admissible action")
@@ -248,9 +260,9 @@ def _score(model, xi: np.ndarray, proj: np.ndarray, cache: BackupCache):
 
 def _assemble(proj: np.ndarray, scores: np.ndarray, best: np.ndarray, cache: BackupCache):
     """Stage 2: the [r, s] alpha vectors of actions ``best[r]``, gathered from the
-    ``proj[v, k o]`` that win each row's ``scores[r, v, k o]``."""
-    gathered = proj.reshape(-1, proj.shape[2]).take(  # [r, k o, s]
-        scores.argmax(axis=1) * len(cache.ko) + cache.ko, axis=0)
+    ``proj[v, j]`` that win each row's ``scores[r, v, j]``."""
+    gathered = proj.reshape(-1, proj.shape[2]).take(  # [r, j, s]
+        scores.argmax(axis=1) * len(cache.terms) + cache.terms, axis=0)
     return cache.stage_reward[:, best].T + np.einsum("rk,rks->rs", cache.weights[:, best].T,
                                                      gathered)
 
@@ -260,11 +272,11 @@ def _backup_stages(model, vf: ValueFunction, beliefs: np.ndarray, cache: BackupC
     """Return ``(value, action, rows, vectors)``: each row's best admissible action
     and its value, then the [r, s] alpha vectors of the rows whose value exceeds ``floor``."""
     beliefs = np.asarray(beliefs, dtype=float)
-    proj = cache.projection(vf)  # [v, k o, s]
-    n_v, n_ko, n_states = proj.shape
+    proj = cache.projection(vf)  # [v, j, s]
+    n_v, n_terms, n_states = proj.shape
     value, action = np.empty(len(beliefs)), np.empty(len(beliefs), dtype=int)
     rows, vectors = [np.empty(0, dtype=int)], [np.empty((0, n_states))]
-    chunk = max(1, BACKUP_CHUNK_ELEMENTS // max(n_ko * max(n_v, n_states), 1))
+    chunk = max(1, BACKUP_CHUNK_ELEMENTS // max(n_terms * max(n_v, n_states), 1))
     for lo in range(0, len(beliefs), chunk):
         scores, q = _score(model, beliefs[lo:lo + chunk], proj, cache)
         action[lo:lo + chunk] = best = q.argmax(axis=1)  # ties go to the lowest action

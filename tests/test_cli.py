@@ -44,6 +44,11 @@ class TestValidate:
         assert main(["validate", "missing.json"]) == EXIT_ERROR
         assert "missing.json" in capsys.readouterr().err
 
+    def test_directory_is_an_error(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
     def test_numeric_file_name_is_a_path(self, bus_model, tmp_path, monkeypatch, capsys):
         # "5" parses as JSON, but a command-line model argument is a file name.
         monkeypatch.chdir(tmp_path)
@@ -117,6 +122,11 @@ class TestSolveSimulate:
         assert "mean discounted return" in out
         mean = float(out.split(":")[1].split("+/-")[0])
         assert 0.0 < mean <= 100.0
+
+    def test_directory_as_policy_is_an_error(self, tmp_path, capsys):
+        assert main(["simulate", "bus", str(tmp_path), "--episodes", "5"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
 
     def test_identical_arguments_reproduce_results(self, tmp_path, capsys):
         banks, policies = [], []

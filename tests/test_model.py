@@ -458,6 +458,12 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="invalid JSON"):
             load_model(io.StringIO("{not json"))
 
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{\x00}\x00')
+        with pytest.raises(ModelFormatError, match="model file: not UTF-8"):
+            load_model(path)
+
     def test_validation_failure_on_load(self, bus_model):
         doc = model_to_dict(bus_model)
         doc["initial_belief"] = [0.0] * 15

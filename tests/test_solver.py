@@ -339,13 +339,48 @@ class TestSampleGroupMerge:
         bank = collect(bus_model, 300, seed=0)
         cache = BackupCache(bus_model, bank)
         assert [k.size for k in cache.kappa] == unmerged_group_counts(bus_model, bank)
+        # Its (group, observation) terms with an all-zero [s, s'] matrix are dropped.
+        n = bus_model.n_states
+        assert len(cache.weights) < sum(k.size for k in cache.kappa) * bus_model.n_observations
+        assert cache.back.reshape(-1, n, n).any(axis=(1, 2)).all()
+
+
+class TestSharedBlocks:
+    def test_maintenance_nothing_and_backwash_share_terms(self, maintenance_model):
+        # Same P, same observation kernel, one atom law each: one block, 100 terms.
+        cache = BackupCache(maintenance_model, collect(maintenance_model, 300, seed=0))
+        assert cache.weights.shape == (300, 4)
+        nothing, backwash, dose, replace = (cache.weights > 0).T
+        np.testing.assert_array_equal(nothing, backwash)
+        assert nothing.sum() == 100 and not (nothing & (dose | replace)).any()
+
+    def test_actions_with_one_block_match_brute_force(self):
+        m = make_shared_law_model((lambda s, s2: CONTINUOUS, lambda s, s2: CONTINUOUS,
+                                   lambda s, s2: ATOM))
+        transition, kernel = m.transition.copy(), m.observation_kernel.copy()
+        transition[:, 1], kernel[1] = transition[:, 0], kernel[0]
+        m = dataclasses.replace(m, transition=transition, observation_kernel=kernel)
+        bank = collect(m, 25, seed=1)
+        cache = BackupCache(m, bank)
+        assert cache.weights.shape == (2 * m.n_observations, 3)
+        np.testing.assert_array_equal(cache.weights[:, 0] > 0, cache.weights[:, 1] > 0)
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            vf = ValueFunction([AlphaVector(rng.normal(size=3) * 10, int(rng.integers(3)))
+                                for _ in range(3)])
+            xi = rng.dirichlet(np.ones(3))
+            alpha = backup(m, vf, cache, xi)
+            ref_values, ref_action = brute_force_backup(m, vf, bank, xi)
+            np.testing.assert_allclose(alpha.values, ref_values, atol=1e-10)
+            assert alpha.action == ref_action
 
 
 class TestProjectionOperator:
     @pytest.mark.parametrize("name", ["maintenance", "bus", "three_supports"])
     def test_groups_sum_to_the_unmerged_samples(self, name, maintenance_model, bus_model):
-        # Per action, the kappa-weighted projections of the merged groups equal
-        # the same sum over every sample with its own slice P_a * f(tau_n).
+        # Per action, the weighted projections of the terms (shared blocks, all-zero
+        # terms dropped) equal the sum over every sample and observation of its own
+        # slice P_a * f(tau_n) G_a(o).
         model = {"maintenance": maintenance_model, "bus": bus_model,
                  "three_supports": make_shared_law_model((
                      lambda s, s2: (ATOM, posmdp.DeterministicAtom(5.0), CONTINUOUS)[s2],
@@ -361,12 +396,10 @@ class TestProjectionOperator:
         assert np.shares_memory(proj.reshape(-1, model.n_states), proj)
         kappa = (np.exp(-model.beta * bank.times) / mixture_density(bank, model, bank.times)
                  / bank.n_samples)
-        groups = proj.reshape(len(vf), -1, model.n_observations, model.n_states)
-        starts = np.cumsum([0] + [k.size for k in cache.kappa])
-        for a, weights in enumerate(cache.kappa):
-            got = np.einsum("k,vkos->vos", weights, groups[:, starts[a]:starts[a + 1]])
+        for a in range(model.n_actions):
+            got = np.einsum("j,vjs->vs", cache.weights[:, a], proj)
             slices = model.transition[:, a] * model.sojourn_density_samples(a, bank.times)
-            expected = np.einsum("n,nst,to,vt->vos", kappa, slices,
+            expected = np.einsum("n,nst,to,vt->vs", kappa, slices,
                                  model.observation_kernel[a], vf.matrix)
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
@@ -392,6 +425,9 @@ class TestProjectionOperator:
         with pytest.raises(ValueError, match=r"belief row \d+ is NaN"):
             backup(bus_model, constant_value_function(bus_model, 1.0), cache,
                    bus_model.initial_belief)
+        # So must the verification sweep.
+        with pytest.raises(ValueError, match=r"belief row \d+ is NaN"):
+            _bellman_sweep(bus_model, constant_value_function(bus_model, 1.0), cache, 1e-4)
 
 
 def loop_sweep(model, vf, bank, cache, epsilon):
@@ -506,6 +542,10 @@ class TestBatchedSweep:
         with pytest.raises(ValueError, match="no commonly admissible action"):
             backup_beliefs(m, vf, np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]), cache)
         assert backup(m, vf, cache, [0.5, 0.0, 0.5]).action == 0
+        # So must the verification sweep over such a belief set.
+        cache.beliefs = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        with pytest.raises(ValueError, match="no commonly admissible action"):
+            _bellman_sweep(m, vf, cache, 1e-4)
 
 
 class TestOneRowBackup:
@@ -682,6 +722,12 @@ class TestPolicyFiles:
         save_policy(result, bus_model, path)
         with pytest.raises(PolicyMismatchError):
             load_policy(path, maintenance_model)
+
+    def test_non_utf8_file_is_a_format_error(self, tmp_path, bus_model):
+        path = tmp_path / "policy.json"
+        path.write_bytes(b'\xff\xfe{\x00}\x00')
+        with pytest.raises(ModelFormatError, match="policy file: not UTF-8"):
+            load_policy(path, bus_model)
 
     @pytest.mark.parametrize("mutate, field", [
         (lambda doc: doc.update(vectors="abc"), "'vectors'"),
