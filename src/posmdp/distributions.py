@@ -338,8 +338,13 @@ def mixed_density(dist, tau, at_atom):
 
 
 def draw_rows(cumulative, u):
-    """Per row of ``cumulative`` probabilities, the first index above uniform ``u``."""
-    return np.minimum((cumulative <= u[:, None]).sum(axis=1), cumulative.shape[-1] - 1)
+    """Per row of ``cumulative`` probabilities, the first index above uniform ``u``;
+    a ``u`` at or above a row's total, which may round below 1, takes its last index
+    of positive probability."""
+    index = (cumulative <= u[:, None]).sum(axis=1)
+    if (index == cumulative.shape[-1]).any():
+        index = np.minimum(index, (cumulative < cumulative[..., -1:]).sum(axis=-1))
+    return index
 
 
 @dataclass(frozen=True)

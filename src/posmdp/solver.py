@@ -6,11 +6,12 @@ belief replaces the sojourn-time integral in the Bellman operator with a
 Monte Carlo sum over the collected time samples, reweighted by
 ``exp(-beta * tau_n) / D(tau_n)`` against the collection mixture ``D``. The
 solver sees the sojourn laws only through their densities at the sampled
-times: equal times share one group, and so do times whose ``[s, s']`` density
-rows under an action are equal once each is divided by its largest entry (see
-:class:`BackupCache`), which on models with one sojourn law per action leaves
-one group per action. Groups with bit-identical operator blocks share one,
-even across actions, and (group, observation) terms that are all zero go.
+times. One fold rule shrinks the sum (see :class:`BackupCache`): rows that are
+equal once each is divided by its largest entry share one, and all-zero rows
+go. Applied to the ``[s, s']`` density rows of an action's sampled times, it
+leaves one group per action on models with one sojourn law per action;
+applied to the (group, observation) terms of the operator, it lets
+proportional terms share one, even across actions.
 
 The outer loop backs up a shrinking random subset of the collected beliefs
 until every one of them is improved, and repeats until the sup-norm change
@@ -24,8 +25,8 @@ backup is two stages: :func:`_score` gives every action's value from
 ``xi @ proj``, and :func:`_assemble` builds only the winner's vector from its
 maximizing projections. A single backup runs them on its one row; the
 verification sweep runs them over every collected belief in chunks, and
-assembles only rows whose score could beat the old value by epsilon (within
-:data:`SCREEN_SLACK`) before applying the exact test.
+assembles only rows whose stage-1 value beats the old value by more than
+epsilon.
 """
 
 from __future__ import annotations
@@ -146,6 +147,21 @@ def conservative_value_function(model) -> ValueFunction:
     return constant_value_function(model, m_min / (1.0 - lam))
 
 
+def _fold(rows: np.ndarray, weights: np.ndarray):
+    """Fold [n, m] nonnegative ``rows`` carrying [n, c] ``weights`` by the rule of
+    :class:`BackupCache`: return the [g, m] shared rows, in the order of their
+    bytes, and their [g, c] summed weights."""
+    level = rows.max(axis=1)
+    live = level != 0  # not > 0: a NaN row must reach the backup and fail it
+    scaled = rows[live] / level[live, None]
+    # Each row as one byte string, compared whole where np.unique(axis=0)
+    # would compare it cell by cell.
+    _, first, which = np.unique(scaled.view(f"V{scaled.itemsize * rows.shape[1]}").ravel(),
+                                return_index=True, return_inverse=True)
+    carried = weights[live] * level[live, None]
+    return scaled[first], np.stack([np.bincount(which, w, first.size) for w in carried.T], 1)
+
+
 class BackupCache:
     """Per-(model, bank) precomputation shared by every backup.
 
@@ -154,30 +170,35 @@ class BackupCache:
     its sample *groups*, each group having an [s, s'] slice of
     ``P(s'|s,a) f(tau|s,a,s')``.
 
-    One rule forms the groups. The density depends on a sample only through
-    tau, so the bank's equal times come first, with summed factors
-    ``exp(-beta tau_n) / D(tau_n) / |C|``, D being summed from the per-action
-    ``[tau, s, s']`` density blocks, evaluated once at those times. Each such
-    time's ``[s, s']`` density row under ``a`` is then divided by its largest entry,
-    ``level(tau)``, and times whose scaled rows are equal share one group: its
-    slice is ``P_a`` times that row and its weight ``sum kappa level(tau)``
-    (groups in the order of their rows' bytes). This is exact: a backup takes,
-    per group and observation, the argmax over alpha vectors of a linear
-    score, which positive scaling leaves unchanged, and its contribution is
-    linear in the slice. Every time at which one sojourn law, or one value on
-    one support, is active thus folds into one group per support; other times
-    keep a group each. Times with no density under ``a`` are dropped.
+    One fold rule (:func:`_fold`), applied twice, shrinks the operator: each
+    row is divided by its largest entry, its level; rows at level 0 go, and
+    rows whose scaled bytes are equal share one, carrying the sum of level
+    times weight. This is exact: a backup takes, per term, the argmax over
+    alpha vectors of a linear score, which positive scaling leaves unchanged,
+    and its contribution is linear in the term. It needs nonnegative entries,
+    which densities, P and G have.
+
+    The density depends on a sample only through tau, so the bank's equal
+    times come first, with summed factors ``exp(-beta tau_n) / D(tau_n) / |C|``,
+    D being summed from the per-action ``[tau, s, s']`` density blocks,
+    evaluated once at those times. The first fold takes those density rows
+    under ``a`` and their factors: each shared row is a group, with slice
+    ``P_a`` times the row and weight ``kappa``. Every time at which one sojourn
+    law, or one value on one support, is active thus folds into one group per
+    support; other times keep a group each.
 
     The groups of all actions, concatenated, index ``k``; group ``k`` has the
-    operator block ``M_k[s, s'] G_a(k)[o, s']``. Groups with bit-identical
-    blocks (e.g. two actions with one P, G and atom law) share the first one's,
-    whose observations with a nonzero (or NaN) ``[s, s']`` matrix are *terms*,
-    indexed ``j`` in order of first appearance. The cache stores ``back[j s, s']``
-    and ``weights[j, a]``, the summed ``kappa_k`` of action ``a``'s groups that
-    use term ``j``, so one product with it sums each action's terms. It also
-    keeps, for the last value function it was asked about, that function's
-    back-projection (see :meth:`projection`) and its values on the beliefs
-    (:meth:`values`), which every backup and pass against it read.
+    operator block ``M_k[s, s'] G_a(k)[o, s']``. The second fold takes its
+    ``[s, s']`` matrices, one per (group, observation), each carrying
+    ``kappa_k`` in its action's column. Its shared rows are the *terms*, indexed
+    ``j``: the cache stores them as ``back[j s, s']`` and their weights as
+    ``weights[j, a]``, so one product with it sums each action's terms. Terms
+    proportional within an action (e.g. the observations of an action that
+    leads to one state) or across actions (e.g. two actions with one P, G and
+    atom law) share one. The cache also keeps, for the last value function it was asked
+    about, that function's back-projection (see :meth:`projection`) and its
+    values on the beliefs (:meth:`values`), which every backup and pass
+    against it read.
     """
 
     def __init__(self, model, bank: SampleBank):
@@ -185,36 +206,21 @@ class BackupCache:
         self.stage_reward = compute_stage_reward(model).values  # [s, a]
         taus, inverse, blocks, density = mixture_blocks(bank, model, bank.times)
         kappa_all = np.exp(-model.beta * bank.times) / density[inverse] / max(bank.n_samples, 1)
-        kappa_tau = np.bincount(inverse, kappa_all, taus.size)
-        n_s = model.n_states
-        shapes, self.kappa = [], []  # per action: [g, s s'] scaled rows, [g] weights
-        for a in range(model.n_actions):
-            f_vals = blocks[a].reshape(taus.size, n_s * n_s)
-            level = f_vals.max(axis=1)
-            live = level != 0  # not > 0: a NaN density must reach the backup and fail it
-            rows = f_vals[live] / level[live, None]
-            # Each row as one byte string, compared whole where np.unique(axis=0)
-            # would compare it cell by cell.
-            _, first, which = np.unique(rows.view(f"V{rows.itemsize * n_s * n_s}").ravel(),
-                                        return_index=True, return_inverse=True)
-            shapes.append(rows[first])
-            self.kappa.append(np.bincount(which, kappa_tau[live] * level[live], first.size))
-        group_action = np.repeat(np.arange(model.n_actions), [k.size for k in self.kappa])
+        kappa_tau = np.bincount(inverse, kappa_all, taus.size)[:, None]
+        n_s, n_a = model.n_states, model.n_actions
+        shapes, kappa = zip(*(_fold(blocks[a].reshape(taus.size, n_s * n_s), kappa_tau)
+                              for a in range(n_a)))
+        self.kappa = [k[:, 0] for k in kappa]
+        group_action = np.repeat(np.arange(n_a), [k.size for k in self.kappa])
         rows = np.concatenate(shapes).reshape(-1, n_s, n_s)
         slices = model.transition.transpose(1, 0, 2)[group_action] * rows  # [k, s, s']
         obs = model.observation_kernel.transpose(0, 2, 1)[group_action]  # [k, o, s']
         op = np.multiply(slices[:, None], obs[:, :, None], order="C")  # [k, o, s, s']
-        seen = {}  # block bytes -> first group with them
-        first = np.array([seen.setdefault(b.tobytes(), k) for k, b in enumerate(op)], dtype=int)
-        # Terms: the (group, observation) pairs of each block's first group whose
-        # [s, s'] matrix has a nonzero entry (any() counts NaN as one).
-        live = (first == np.arange(len(op)))[:, None] & op.any(axis=(2, 3))  # [k, o]
-        self.back = op[live].reshape(-1, n_s)  # [j s, s']
-        term = np.cumsum(live).reshape(live.shape) - 1  # [k, o] -> j where live
-        group, o = np.nonzero(live[first])
-        self.weights = np.zeros((live.sum(), model.n_actions))  # [j, a]
-        np.add.at(self.weights, (term[first[group], o], group_action[group]),
-                  np.concatenate(self.kappa)[group])
+        # Term (k, o) carries kappa_k in the column of group k's action.
+        carried = np.concatenate(self.kappa)[:, None] * (group_action[:, None] == np.arange(n_a))
+        back, self.weights = _fold(op.reshape(-1, n_s * n_s),
+                                   np.repeat(carried, model.n_observations, axis=0))
+        self.back = back.reshape(-1, n_s)  # [j s, s']
         self.terms = np.arange(len(self.weights))
         self._kept = (None,)
 
@@ -238,13 +244,6 @@ class BackupCache:
 # maintenance solve used 1.6x its wall time in CPU, as BLAS split the products
 # over threads, and its peak memory grew by 4 MB.
 BACKUP_CHUNK_ELEMENTS = 1 << 17
-
-# The sweep assembles a row only when its stage-1 value exceeds old + epsilon
-# - slack, the slack being this share of max |R| + max |alpha|. Stage 1 and
-# the assembled xi . alpha sum the same products in another order, and differ
-# by about 2e-16 of that scale on the built-in models.
-SCREEN_SLACK = 1e-9
-
 
 def _score(model, xi: np.ndarray, proj: np.ndarray, cache: BackupCache):
     """Stage 1 for [r, s] beliefs: ``scores[r, v, j] = xi . proj[v, j]`` and action
@@ -383,15 +382,10 @@ def _bellman_sweep(model, vf: ValueFunction, cache: BackupCache, epsilon: float)
     belief, ending the pass before the improvable ones are picked. The sweep
     certifies (or refutes) stability under backups at all of B.
     """
-    belief_mat = cache.beliefs
-    old = cache.values(vf)
-    slack = SCREEN_SLACK * (np.abs(cache.stage_reward).max() + np.abs(vf.matrix).max())
-    _, actions, rows, values = _backup_stages(model, vf, belief_mat, cache,
-                                              old + epsilon - slack)
-    improved = np.einsum("bs,bs->b", belief_mat[rows], values) > old[rows] + epsilon
-    candidates, actions = values[improved], actions[rows[improved]]
-    keep = _distinct(candidates)
-    return [AlphaVector(vec, int(a)) for vec, a in zip(candidates[keep], actions[keep])]
+    _, actions, rows, values = _backup_stages(model, vf, cache.beliefs, cache,
+                                              cache.values(vf) + epsilon)
+    keep = _distinct(values)
+    return [AlphaVector(vec, int(a)) for vec, a in zip(values[keep], actions[rows[keep]])]
 
 
 def solve(model, bank: SampleBank, v0: ValueFunction = None, epsilon: float = None,

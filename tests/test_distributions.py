@@ -378,6 +378,17 @@ def test_row_search_never_draws_a_zero_probability_index():
     np.testing.assert_array_equal(draw_rows(cumulative[[1, 1, 1, 1]], u), [0, 1, 2, 2])
 
 
+def test_row_search_above_a_short_total_draws_the_last_positive_index():
+    # Rows may sum to 1 - 1e-10 and pass validation; a uniform above that total
+    # must not land on the trailing zero.
+    cumulative = np.cumsum([[0.25, 0.70, 0.0499999999, 0.0], [0.5, 0.0, 0.4999999999, 0.0]],
+                           axis=1)
+    u = np.array([0.5, 1.0 - 2.0**-40])
+    np.testing.assert_array_equal(draw_rows(cumulative, u), [1, 2])
+    np.testing.assert_array_equal(draw_rows(cumulative[0], u), [1, 2])
+    np.testing.assert_array_equal(draw_rows(cumulative[1], u), [2, 2])
+
+
 class TestMixedDensity:
     def test_atom_passthrough(self):
         atom = DeterministicAtom(30.0)

@@ -50,6 +50,18 @@ class TestStep:
         assert o == 0  # reset drops the commuter back at stop 0
         assert reward == 100.0
 
+    def test_short_transition_row_never_draws_a_successor_without_a_law(self,
+                                                                       maintenance_model):
+        # P[poor, dose] sums to 1 - 1e-10, which validation accepts; a uniform
+        # above that total must draw a successor of positive probability.
+        transition = maintenance_model.transition.copy()
+        transition[2, 2] = [0.25, 0.70, 0.0499999999, 0.0]
+        model = replace(maintenance_model, transition=transition)
+        assert posmdp.validate(model).ok
+        s2, _, _ = model.draw_transitions(np.array([2]), np.array([2]),
+                                          np.array([[1.0 - 2.0**-40, 0.5, 0.5, 0.5]]))
+        assert s2.tolist() == [2]
+
     def test_rate_reward_integrates_over_sojourn(self, maintenance_model, rng):
         # From a good filter doing nothing: tau is the 78.7433 atom and the
         # rate is 500/day, so the realized reward has a closed form.
