@@ -23,10 +23,12 @@ observation once per value function (:meth:`BackupCache.projection`) and
 keeps that tensor with the value function's values on the belief set. A
 backup is two stages: :func:`_score` gives every action's value from
 ``xi @ proj``, and :func:`_assemble` builds only the winner's vector from its
-maximizing projections. A single backup runs them on its one row; the
-verification sweep runs them over every collected belief in chunks, and
-assembles only rows whose stage-1 value beats the old value by more than
-epsilon.
+maximizing projections. A single backup runs them on its one row. The
+verification sweep first rules out the collected beliefs that a one-step
+upper bound (Hauskrecht's fast informed bound, read from the same tensor)
+shows cannot improve by more than epsilon, runs the two stages over the rest
+in chunks, and assembles only rows whose stage-1 value beats the old value by
+more than epsilon.
 """
 
 from __future__ import annotations
@@ -245,12 +247,19 @@ class BackupCache:
 # over threads, and its peak memory grew by 4 MB.
 BACKUP_CHUNK_ELEMENTS = 1 << 17
 
+def _inadmissible(model, xi: np.ndarray) -> np.ndarray:
+    """[r, a] mask of the actions inadmissible somewhere on each belief's support;
+    raises when it leaves a belief no action."""
+    inadmissible = (xi > 0) @ ~model.admissible
+    if inadmissible.all(axis=1).any():
+        raise ValueError("a belief's support has no commonly admissible action")
+    return inadmissible
+
+
 def _score(model, xi: np.ndarray, proj: np.ndarray, cache: BackupCache):
     """Stage 1 for [r, s] beliefs: ``scores[r, v, j] = xi . proj[v, j]`` and action
     values ``q[r, a] = xi . R_a + sum_j weights[j, a] max_v scores`` (-inf if inadmissible)."""
-    inadmissible = (xi > 0) @ ~model.admissible  # [r, a]
-    if inadmissible.all(axis=1).any():
-        raise ValueError("a belief's support has no commonly admissible action")
+    inadmissible = _inadmissible(model, xi)  # [r, a]
     scores = (xi @ proj.reshape(-1, proj.shape[2]).T).reshape(len(xi), *proj.shape[:2])
     q = xi @ cache.stage_reward + scores.max(axis=1) @ cache.weights
     q[inadmissible] = -np.inf
@@ -374,6 +383,15 @@ class SolveResult:
         return len(self.trace)
 
 
+# Relative rounding margin of the sweep's screen. Stage 1 and the one-step
+# bound sum the same products in different orders, and about half of all
+# sweep rows have a tight bound (stage 1 equals it to rounding). Over the
+# sweeps of 36 maintenance solves (|B| = 700) and 8 bus solves (|B| = 1000),
+# stage 1 exceeded the bound by at most 3.1e-16 and 1.1e-15 of the bound's
+# magnitude; with this margin every sweep kept the decisions it makes unscreened.
+SCREEN_MARGIN = 1e-12
+
+
 def _bellman_sweep(model, vf: ValueFunction, cache: BackupCache, epsilon: float):
     """Back up every collected belief once; return vectors improving > epsilon.
 
@@ -381,9 +399,22 @@ def _bellman_sweep(model, vf: ValueFunction, cache: BackupCache, epsilon: float)
     improvements are still available: one early backup may weakly cover every
     belief, ending the pass before the improvable ones are picked. The sweep
     certifies (or refutes) stability under backups at all of B.
+
+    Most beliefs do not improve, so a one-step upper bound screens them first
+    (the fast informed bound, Hauskrecht 2000): taking each term's max over
+    vectors entrywise, ``U[s, a] = R[s, a] + sum_j weights[j, a] max_v proj[v, j, s]``
+    bounds every stage-1 value, ``q[r, a] <= xi_r . U[:, a]``, because weights
+    and beliefs are nonnegative. Only rows whose bound is not below the floor
+    by more than rounding go on to stage 1.
     """
-    _, actions, rows, values = _backup_stages(model, vf, cache.beliefs, cache,
-                                              cache.values(vf) + epsilon)
+    inadmissible = _inadmissible(model, cache.beliefs)
+    floor = cache.values(vf) + epsilon
+    bound = cache.stage_reward + cache.projection(vf).max(axis=0).T @ cache.weights  # [s, a]
+    upper = cache.beliefs @ bound
+    upper[inadmissible] = -np.inf
+    # Not `>`: a NaN bound must reach stage 1, which names its row.
+    kept = np.flatnonzero(~(upper.max(axis=1) <= floor - SCREEN_MARGIN * np.abs(floor)))
+    _, actions, rows, values = _backup_stages(model, vf, cache.beliefs[kept], cache, floor[kept])
     keep = _distinct(values)
     return [AlphaVector(vec, int(a)) for vec, a in zip(values[keep], actions[rows[keep]])]
 

@@ -6,6 +6,9 @@ built once in module-scoped fixtures and shared across criteria.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -233,27 +236,47 @@ def test_criterion_8_belief_update_consistency():
         )
 
 
+# The timed loop of the scaling test, run in a child process with one BLAS
+# thread: a threaded one-row product slows several times over when the BLAS
+# worker thread shares the main thread's CPU, which depends on the scheduler
+# and on the work run before it, not on the backup.
+_SCALING_LOOP = """
+import time
+import numpy as np
+import posmdp
+from conftest import make_random_model
+from posmdp.solver import AlphaVector, ValueFunction, backup
+
+rng = np.random.default_rng(99)
+m = make_random_model(rng, n_states=3, n_actions=2, n_observations=3)
+vf = ValueFunction([AlphaVector(rng.normal(size=3), i % 2) for i in range(8)])
+xi = rng.dirichlet(np.ones(3))
+
+def best_time(n):
+    bank = posmdp.collect(m, n + 1, seed=1)
+    cache = posmdp.BackupCache(m, bank)
+    best = np.inf
+    for _ in range(7):
+        t0 = time.perf_counter()
+        for _ in range(5):
+            backup(m, vf, cache, xi)
+        best = min(best, (time.perf_counter() - t0) / 5)
+    return best
+
+small = best_time(4000)
+print(best_time(16000) / small)
+"""
+
+
 def test_backup_time_scales_linearly_in_samples():
     # Stand-in for the (non-reproducible) runtime comparison: doubling the
     # sample count should roughly double backup time, not square it.
-    rng = np.random.default_rng(99)
-    m = make_random_model(rng, n_states=3, n_actions=2, n_observations=3)
-    vf = ValueFunction([AlphaVector(rng.normal(size=3), i % 2) for i in range(8)])
-    xi = rng.dirichlet(np.ones(3))
-
-    def best_time(n):
-        bank = posmdp.collect(m, n + 1, seed=1)
-        cache = posmdp.BackupCache(m, bank)
-        best = np.inf
-        for _ in range(7):
-            t0 = time.perf_counter()
-            for _ in range(5):
-                backup(m, vf, cache, xi)
-            best = min(best, (time.perf_counter() - t0) / 5)
-        return best
-
-    small, large = best_time(4000), best_time(16000)
-    ratio = large / small
+    paths = [os.path.dirname(os.path.dirname(posmdp.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", _SCALING_LOOP], env=env, check=True,
+                           capture_output=True, text=True)
+    ratio = float(child.stdout)
     # 4x the samples: expect ~4x the time, allow a generous band for
     # constant overheads and timer noise.
     assert 1.5 <= ratio <= 12.0, f"scaling ratio {ratio:.2f}"

@@ -16,6 +16,7 @@ from posmdp.model import ModelFormatError
 from posmdp.sampler import SampleBank, collect, mixture_density
 from posmdp.solver import (
     DUPLICATE_TOL,
+    SCREEN_MARGIN,
     AlphaVector,
     BackupCache,
     InitialValueError,
@@ -26,6 +27,7 @@ from posmdp.solver import (
     _bellman_sweep,
     _distinct,
     _fold,
+    _inadmissible,
     backup,
     backup_beliefs,
     conservative_value_function,
@@ -477,6 +479,30 @@ def loop_sweep(model, vf, bank, cache, epsilon):
     return improving
 
 
+def screen_case(name, maintenance_model, bus_model, random_model_factory, monkeypatch):
+    """A model, its cache, and the value functions of a solve's randomized passes,
+    each with the solve's epsilon; "masked" is a random model that forbids action 1
+    in state 0."""
+    if name == "masked":
+        m = random_model_factory(np.random.default_rng(5))
+        m = dataclasses.replace(m, admissible=np.array([[True, False], [True, True],
+                                                        [True, True]]))
+        bank = collect(m, 60, seed=6)
+    else:
+        m = maintenance_model if name == "maintenance" else bus_model
+        bank = collect(m, 120, seed=3)
+    cache, passes = BackupCache(m, bank), []
+
+    def record(*args):
+        passes.append(perseus_update(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(posmdp.solver, "perseus_update", record)
+    assert solve(m, bank).converged
+    epsilon = 1e-4 * max(np.abs(cache.stage_reward).max(), 1.0)
+    return m, cache, [(vf, epsilon) for vf in passes]
+
+
 class TestBatchedSweep:
     @pytest.mark.parametrize("name", ["maintenance", "bus"])
     def test_sweep_matches_loop_of_backups(self, name, maintenance_model, bus_model):
@@ -543,6 +569,46 @@ class TestBatchedSweep:
             scale = np.abs(cache.stage_reward).max() + np.abs(vf.matrix).max()
             assert gap <= 1e-12 * scale
             vf = perseus_update(m, vf, cache, rng)
+
+    @pytest.mark.parametrize("name", ["maintenance", "bus", "masked"])
+    def test_screen_keeps_every_decision(self, name, maintenance_model, bus_model,
+                                         random_model_factory, monkeypatch):
+        # After every pass of a solve, the screened sweep returns, bit for bit,
+        # what stages 1 and 2 over all of B with the same floor return.
+        m, cache, passes = screen_case(name, maintenance_model, bus_model,
+                                       random_model_factory, monkeypatch)
+        found = 0
+        for vf, epsilon in passes:
+            got = _bellman_sweep(m, vf, cache, epsilon)
+            _, actions, rows, values = _backup_stages(m, vf, cache.beliefs, cache,
+                                                      cache.values(vf) + epsilon)
+            keep = _distinct(values)
+            assert [a.action for a in got] == actions[rows[keep]].tolist()
+            for alpha, want in zip(got, values[keep]):
+                np.testing.assert_array_equal(alpha.values, want)
+            found += len(got)
+        assert found, "some sweep should find improvements"
+        assert not got, "the last pass should be stable"
+
+    @pytest.mark.parametrize("name", ["maintenance", "bus", "masked"])
+    def test_stage_one_is_below_the_one_step_bound(self, name, maintenance_model, bus_model,
+                                                    random_model_factory, monkeypatch):
+        # q[r, a] <= xi_r . U[:, a] up to the screen's margin on every row of B,
+        # and the bound rules some rows out of the sweeps.
+        m, cache, passes = screen_case(name, maintenance_model, bus_model,
+                                       random_model_factory, monkeypatch)
+        screened = 0
+        for vf, epsilon in [(conservative_value_function(m), 0.0), *passes]:
+            value, _, rows, _ = _backup_stages(m, vf, cache.beliefs, cache,
+                                               np.full(len(cache.beliefs), np.inf))
+            assert rows.size == 0
+            bound = cache.stage_reward + cache.projection(vf).max(axis=0).T @ cache.weights
+            upper = cache.beliefs @ bound
+            upper[_inadmissible(m, cache.beliefs)] = -np.inf
+            best = upper.max(axis=1)
+            assert np.all(value <= best + SCREEN_MARGIN * np.abs(best))
+            screened += np.count_nonzero(best < cache.values(vf) + epsilon)
+        assert screened
 
     def test_kernel_respects_admissibility(self, random_model_factory):
         rng = np.random.default_rng(5)
