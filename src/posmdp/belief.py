@@ -6,8 +6,9 @@ time, and the observation; the time-free variant marginalizes the sojourn
 time out and reduces to the classic partially-observed update.
 
 :func:`predict_with_time`, :func:`condition` and :func:`update_with_time`
-also take an ``[n, s]`` block of beliefs that took the same action, with one
-sojourn time and one observation per row; a 1-D belief is the one-row case.
+also take an ``[n, s]`` block of beliefs, with one action (shared or one per
+row), one sojourn time and one observation per row; a 1-D belief is the
+one-row case.
 """
 
 from __future__ import annotations
@@ -39,32 +40,34 @@ class ImpossibleEvidenceError(ValueError):
         )
 
 
-def predict_with_time(model, belief, action: int, tau) -> np.ndarray:
+def predict_with_time(model, belief, action, tau) -> np.ndarray:
     """Unnormalized successor weights after acting and waiting ``tau``.
 
     Returns the [s'] vector ``sum_s xi(s) P(s' | s, a) f(tau | s, a, s')``,
     the one sojourn-density evaluation that both the observation likelihood
     and the posterior are built from; for an [n, s] block and [n] times, the
-    [n, s'] rows.
+    [n, s'] rows, under one action or one action per row.
     """
-    transition = model.transition[:, action, :]
-    f = model.sojourn_density_samples(action, tau).reshape(np.shape(tau) + transition.shape)
+    transition = model.transition.transpose(1, 0, 2)[action]  # [s, s'] or [n, s, s']
+    f = model.sojourn_density_samples(action, tau).reshape(np.shape(tau) + transition.shape[-2:])
     return (belief[..., None, :] @ (transition * f))[..., 0, :]
 
 
-def condition(model, predicted, action: int, observation, tau=None) -> np.ndarray:
-    """Posterior from predicted successor weights and one observation per row.
+def condition(model, predicted, action, observation, tau=None) -> np.ndarray:
+    """Posterior from predicted successor weights, one action (shared or per row)
+    and one observation per row.
 
     Raises :class:`ImpossibleEvidenceError`, naming the first offending row's
     evidence, when some row has (numerically) zero likelihood; ``tau`` only
     labels that error.
     """
-    numerator = model.observation_kernel[action][:, observation].T * predicted
+    numerator = model.observation_kernel[action, :, observation] * predicted
     normalizer = numerator.sum(axis=-1, keepdims=True)
     impossible = np.flatnonzero(normalizer < UNDERFLOW_THRESHOLD)
     if impossible.size:
         row = impossible[0]
-        raise ImpossibleEvidenceError(action, _row(tau, row), _row(observation, row))
+        raise ImpossibleEvidenceError(int(_row(action, row)), _row(tau, row),
+                                      _row(observation, row))
     return numerator / normalizer
 
 
@@ -72,7 +75,7 @@ def _row(value, row):
     return value if value is None or np.ndim(value) == 0 else value[row]
 
 
-def update_with_time(model, belief, action: int, tau, observation) -> np.ndarray:
+def update_with_time(model, belief, action, tau, observation) -> np.ndarray:
     """Posterior over states after acting, waiting ``tau``, and observing.
 
     The posterior is proportional to

@@ -320,7 +320,7 @@ class SojournFamily:
 
 def atom_mask(tau, atom_values):
     """Whether ``tau`` is an atom location of the model, shaped like ``tau``."""
-    return np.isin(tau, np.fromiter(atom_values, dtype=float))
+    return (np.asarray(tau)[..., None] == np.fromiter(atom_values, dtype=float)).any(-1)
 
 
 def mixed_density(dist, tau, at_atom):

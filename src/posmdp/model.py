@@ -155,14 +155,17 @@ class PosmdpModel:
         model gives no sojourn law: one time of :meth:`sojourn_density_samples`."""
         return self.sojourn_density_samples(a, [tau])[0]
 
-    def sojourn_density_samples(self, a: int, taus: np.ndarray) -> np.ndarray:
-        """f(tau_n | s, a, s') for a vector of times, shaped [n, s, s']."""
+    def sojourn_density_samples(self, a, taus: np.ndarray) -> np.ndarray:
+        """f(tau_n | s, a_n, s') for a vector of times and one action or one per time,
+        shaped [n, s, s']. Each action's families are evaluated at every time, also at
+        those drawn under other actions; the gather of each row's own action drops them."""
         taus = np.asarray(taus, dtype=float).reshape(-1, 1)
-        out = np.zeros((taus.shape[0], self.n_states, self.n_states))
+        out = np.zeros((taus.shape[0], self.n_actions, self.n_states, self.n_states))
         at_atom = atom_mask(taus, self.atom_values)  # tested once for all families
-        for family in self.sojourn_families[a]:
-            out[(..., *family.cells)] = mixed_density(family, taus, at_atom=at_atom)
-        return out
+        for b in np.unique(a).tolist():
+            for family in self.sojourn_families[b]:
+                out[(slice(None), b, *family.cells)] = mixed_density(family, taus, at_atom)
+        return out[np.arange(taus.shape[0]), a]
 
     def draw_transitions(self, s, a, u):
         """The transition kernel: per row, (s', tau, o) from its four uniforms

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import draw_rows
-from .simulator import filter_by_action
-# Kept as names of this module: bench/tracer.py wraps them here.
-from .belief import observation_time_likelihood, update_with_time  # noqa: F401
+from .belief import update_with_time
+# Kept as a name of this module: bench/tracer.py wraps it here.
+from .belief import observation_time_likelihood  # noqa: F401
 
 __all__ = ["SampleBank", "collect", "mixture_density", "bank_to_dict", "save_bank"]
 
@@ -64,7 +64,7 @@ def collect(model, n: int, seed: int) -> SampleBank:
         s2, tau, o = model.draw_transitions(s, a, u[:, 2:])
         rows = slice(size - 1, size - 1 + m)
         times[rows], origins[rows] = tau, np.stack([s, a, s2], axis=1)
-        beliefs[size:size + m] = filter_by_action(model, xi, a, tau, o)
+        beliefs[size:size + m] = update_with_time(model, xi, a, tau, o)
     counts = np.zeros(model.transition.shape)
     np.add.at(counts, tuple(origins.T), 1)
     return SampleBank(beliefs, times, origins, counts / max(n - 1, 1), seed)

@@ -7,13 +7,13 @@ continuous time. "Episodes" are independent restarts from the initial belief;
 any episodic structure (such as a reset transition) lives in the model itself.
 
 Episodes run in lockstep (:func:`run_episodes`) as one ``[E, s]`` belief
-block: greedy actions, transitions, rewards and the filter loop
-(:func:`filter_by_action`, shared with collection) are array operations. Each
-episode has a fixed budget of uniforms from its own generator: one for its
-initial state, then the kernel's four per epoch, drawn with one ``rng.random``
-call per block of whole epochs (at most ``DRAW_BLOCK`` uniforms over all
-episodes). A generator yields its stream in order whatever the block, so an
-episode's path depends neither on how many run beside it nor on epoch count.
+block: greedy actions, transitions, rewards and the belief update, each row
+under its own action, are array operations. Each episode has a fixed budget
+of uniforms from its own generator: one for its initial state, then the
+kernel's four per epoch, drawn with one ``rng.random`` call per block of whole
+epochs (at most ``DRAW_BLOCK`` uniforms over all episodes). A generator yields
+its stream in order whatever the block, so an episode's path depends neither
+on how many run beside it nor on epoch count.
 """
 
 from __future__ import annotations
@@ -65,16 +65,6 @@ def _stage(model, s, a, s2, tau):
     return model.lump_reward[s, a] + accrued, decay
 
 
-def filter_by_action(model, xi, actions, taus, observations) -> np.ndarray:
-    """Each row of the ``[n, s]`` belief block ``xi`` updated on its own ``(a, tau,
-    o)``, by one :func:`~posmdp.belief.update_with_time` call per action taken."""
-    out = np.empty_like(xi)
-    for a in np.unique(actions):
-        rows = np.flatnonzero(actions == a)
-        out[rows] = update_with_time(model, xi[rows], int(a), taus[rows], observations[rows])
-    return out
-
-
 def step(model, s: int, a: int, rng: np.random.Generator):
     """One transition from ``rng.random(4)``, as one row of a rollout epoch:
     (s', tau, o) and the stage reward ``r1(s,a) + r2(s,a,s') (1 - exp(-beta
@@ -109,7 +99,7 @@ def run_episodes(model, value_function, xi0, epochs: int, rngs, histories=None) 
             actions = value_function.action_at(xi)
             successors, taus, observations = model.draw_transitions(states, actions, u)
             rewards, decay = _stage(model, states, actions, successors, taus)
-            states, xi = successors, filter_by_action(model, xi, actions, taus, observations)
+            states, xi = successors, update_with_time(model, xi, actions, taus, observations)
             gained = discount * rewards
             returns += gained
             discount *= decay

@@ -75,6 +75,14 @@ class TestBusBikeAtom:
         with pytest.raises(ImpossibleEvidenceError) as info:
             update_with_time(bus_model, block, BIKE, taus, observations)
         assert (info.value.action, info.value.tau, info.value.observation) == (BIKE, 29.0, 4)
+        # With one action per row, the error names that row's action as an int.
+        actions = np.array([BUS, BIKE, BIKE])
+        taus = np.array([6.0, 30.0, 29.0])
+        observations = np.array([1, 4, 4])
+        with pytest.raises(ImpossibleEvidenceError) as info:
+            update_with_time(bus_model, block, actions, taus, observations)
+        assert (info.value.action, info.value.tau, info.value.observation) == (BIKE, 29.0, 4)
+        assert type(info.value.action) is int
 
     def test_bus_at_atom_time_is_impossible(self, bus_model):
         # tau = 455 is an atom of the model's mixed measure (the reset delay),
@@ -97,6 +105,24 @@ class TestBlockUpdate:
         bike = update_with_time(bus_model, block[:1], BIKE, np.array([30.0]), np.array([4]))
         np.testing.assert_array_equal(
             bike[0], update_with_time(bus_model, bus_model.initial_belief, BIKE, 30.0, 4))
+
+    @pytest.mark.parametrize("name", ["bus", "maintenance", "random"])
+    def test_mixed_action_rows_match_one_row_updates(self, name, bus_model, maintenance_model,
+                                                     random_model_factory):
+        # One update of a block whose rows took different actions is, row by
+        # row, bitwise the update of that row alone under its own action.
+        model = {"bus": bus_model, "maintenance": maintenance_model,
+                 "random": random_model_factory(np.random.default_rng(7), with_atoms=True)}[name]
+        rng = np.random.default_rng(4)
+        xi = rng.dirichlet(np.ones(model.n_states), size=60)
+        s = np.array([rng.choice(model.n_states, p=row) for row in xi])
+        actions = np.array([rng.choice(np.flatnonzero(model.admissible[i])) for i in s])
+        assert set(actions.tolist()) == set(range(model.n_actions))
+        _, taus, observations = model.draw_transitions(s, actions, rng.random((60, 4)))
+        post = update_with_time(model, xi, actions, taus, observations)
+        for i, a in enumerate(actions.tolist()):
+            row = update_with_time(model, xi[i:i + 1], a, taus[i:i + 1], observations[i:i + 1])
+            np.testing.assert_array_equal(post[i], row[0])
 
 
 class TestMaintenanceUpdate:

@@ -264,6 +264,22 @@ class TestSojournLaws:
             for tau, want in zip(taus, expected):
                 np.testing.assert_array_equal(model.sojourn_density_matrix(a, float(tau)), want)
 
+    @pytest.mark.parametrize("name", ["bus", "maintenance", "random"])
+    def test_one_action_per_time(self, name, bus_model, maintenance_model,
+                                 random_model_factory):
+        # Each row of a block with one action per time is that time's density
+        # under its own action alone.
+        model = {"bus": bus_model, "maintenance": maintenance_model,
+                 "random": random_model_factory(np.random.default_rng(7), with_atoms=True)}[name]
+        rng = np.random.default_rng(5)
+        taus = np.concatenate([rng.uniform(0.05, 60.0, 40), sorted(model.atom_values)])
+        actions = rng.integers(model.n_actions, size=taus.size)
+        block = model.sojourn_density_samples(actions, taus)
+        assert block.shape == (taus.size, model.n_states, model.n_states)
+        for i in range(taus.size):
+            np.testing.assert_array_equal(
+                block[i], model.sojourn_density_samples(actions[i], taus[i:i + 1])[0])
+
     def test_one_density_evaluation_per_family(self, bus_model, monkeypatch):
         calls = []
         original = posmdp.model.mixed_density
@@ -280,6 +296,10 @@ class TestSojournLaws:
                 calls.clear()
                 evaluate()
                 assert calls == list(families)
+        # A block that takes both actions evaluates each action's families once.
+        calls.clear()
+        bus_model.sojourn_density_samples(np.array([1, 0, 1]), [5.0, 12.0, 30.0])
+        assert calls == [f for families in bus_model.sojourn_families for f in families]
 
 
 class TestSojournFamilies:
