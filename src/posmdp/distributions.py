@@ -11,7 +11,7 @@ which the stage reward and the initial bound are built from) is in closed form.
 
 Each family's density formula is one module-level function of the time and
 the law's parameters. A law's ``pdf`` calls it with scalar parameters; a
-:class:`SojournFamily` calls it with parameter arrays over many ``[s, s']``
+:class:`SojournFamily` calls it with parameter arrays over many ``(s, a, s')``
 cells, so a model evaluates all laws of one family in one numpy expression.
 So too each family's ``time`` map from two uniforms on [0, 1) to a time, the
 one way the package draws a sojourn time (the model's transition kernel calls
@@ -298,7 +298,7 @@ SojournDistribution = InverseGaussian | DeterministicAtom | TruncatedGaussian
 
 @dataclass(frozen=True, eq=False)
 class SojournFamily:
-    """Laws of one family over many ``[s, s']`` cells, as parameter arrays.
+    """Laws of one family over many ``(s, a, s')`` cells, as parameter arrays.
 
     ``params`` holds one array over ``cells`` per parameter of ``kind``. At a
     scalar ``tau``, :meth:`pdf` gives one density per cell; at an ``[n, 1]``
@@ -306,7 +306,7 @@ class SojournFamily:
     """
 
     kind: type
-    cells: tuple  # (rows, cols)
+    cells: tuple  # (rows, actions, cols)
     params: tuple
 
     @property

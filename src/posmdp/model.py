@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -73,12 +72,12 @@ class MixedObservable:
 class PosmdpModel:
     """Model arrays plus the sojourn table built from ``sojourn``.
 
-    ``sojourn_families[a]`` holds the laws under action ``a`` as one
+    ``sojourn_families`` holds the laws of all actions as one
     :class:`~posmdp.distributions.SojournFamily` per distribution family (in
-    order of first appearance), with the ``[s, s']`` cells of each law and
+    order of first appearance), with the ``(s, a, s')`` cells of each law and
     their parameters as arrays; the density methods evaluate one numpy
-    expression per family. The law of ``(s, a, s')`` is cell ``c`` of the
-    ``k``-th family overall, ``(k, c) = sojourn_cell[:, s, a, s']`` (-1: none).
+    expression per family. The law of ``(s, a, s')`` is cell ``c`` of family
+    ``k``, ``(k, c) = sojourn_cell[:, s, a, s']`` (-1: none).
     ``transition_cdf`` and ``observation_cdf`` are the cumulative rows of
     ``transition`` (over s') and ``observation_kernel`` (over o).
     """
@@ -118,21 +117,19 @@ class PosmdpModel:
                                                      len(mixed.hidden_labels)))):
             raise ValueError("mixed_observable.state_coords must list every (observable, "
                              "hidden) pair exactly once, one pair per state")
-        families = [{} for _ in self.actions]  # per action: kind -> [(s, s', *params)]
+        families = {}  # kind -> [(s, a, s', *params)]
         for (s, a, s2), dist in self.sojourn.items():
             if not (0 <= s < n_s and 0 <= a < n_a and 0 <= s2 < n_s):
                 raise ValueError(f"sojourn key (s={s}, a={a}, s'={s2}) is out of range")
-            families[a].setdefault(type(dist), []).append((s, s2, *dist.params))
+            families.setdefault(type(dist), []).append((s, a, s2, *dist.params))
         cell = np.full((2, n_s, n_a, n_s), -1)
-        for a, by_kind in enumerate(families):
-            for k, (kind, members) in enumerate(by_kind.items(), sum(map(len, families[:a]))):
-                rows, cols, *params = zip(*members)
-                cell[0, rows, a, cols], cell[1, rows, a, cols] = k, np.arange(len(rows))
-                by_kind[kind] = SojournFamily(kind, (np.array(rows), np.array(cols)),
-                                              tuple(np.array(p, dtype=float) for p in params))
+        for k, (kind, members) in enumerate(families.items()):
+            rows, actions, cols, *params = zip(*members)
+            cell[0, rows, actions, cols], cell[1, rows, actions, cols] = k, np.arange(len(rows))
+            families[kind] = SojournFamily(kind, tuple(map(np.array, (rows, actions, cols))),
+                                           tuple(np.array(p, dtype=float) for p in params))
         object.__setattr__(self, "sojourn_cell", cell)
-        object.__setattr__(self, "sojourn_families",
-                           tuple(tuple(by_kind.values()) for by_kind in families))
+        object.__setattr__(self, "sojourn_families", tuple(families.values()))
         object.__setattr__(self, "atom_values", frozenset(
             d.atom for d in self.sojourn.values() if d.atom is not None))
         object.__setattr__(self, "transition_cdf", np.cumsum(self.transition, axis=2))
@@ -157,15 +154,14 @@ class PosmdpModel:
 
     def sojourn_density_samples(self, a, taus: np.ndarray) -> np.ndarray:
         """f(tau_n | s, a_n, s') for a vector of times and one action or one per time,
-        shaped [n, s, s']. Each action's families are evaluated at every time, also at
-        those drawn under other actions; the gather of each row's own action drops them."""
+        shaped [n, s, s']; ``a = slice(None)`` gives every action's, shaped [n, s, a, s'].
+        Each family is evaluated once, over all its ``(s, a, s')`` cells at every time."""
         taus = np.asarray(taus, dtype=float).reshape(-1, 1)
-        out = np.zeros((taus.shape[0], self.n_actions, self.n_states, self.n_states))
+        out = np.zeros((taus.shape[0], self.n_states, self.n_actions, self.n_states))
         at_atom = atom_mask(taus, self.atom_values)  # tested once for all families
-        for b in np.unique(a).tolist():
-            for family in self.sojourn_families[b]:
-                out[(slice(None), b, *family.cells)] = mixed_density(family, taus, at_atom)
-        return out[np.arange(taus.shape[0]), a]
+        for family in self.sojourn_families:
+            out[(slice(None), *family.cells)] = mixed_density(family, taus, at_atom)
+        return out[np.arange(taus.shape[0]), :, a]
 
     def draw_transitions(self, s, a, u):
         """The transition kernel: per row, (s', tau, o) from its four uniforms
@@ -179,12 +175,11 @@ class PosmdpModel:
         if (k < 0).any():
             e = np.argmax(k < 0)
             raise ValueError(f"(s, a, s') = ({s[e]}, {a[e]}, {s2[e]}) has no sojourn law")
-        families = [f for by_action in self.sojourn_families for f in by_action]
         tau = np.empty(len(s))
         for i in set(k.tolist()):  # the families drawn from
-            rows = np.flatnonzero(k == i)
-            tau[rows] = families[i].kind.time(u[rows, 1], u[rows, 2],
-                                              *(p[cell[rows]] for p in families[i].params))
+            rows, family = np.flatnonzero(k == i), self.sojourn_families[i]
+            tau[rows] = family.kind.time(u[rows, 1], u[rows, 2],
+                                         *(p[cell[rows]] for p in family.params))
         return s2, tau, draw_rows(self.observation_cdf[a, s2], u[:, 3])
 
 
@@ -510,7 +505,7 @@ def _dist_from_dict(doc, where: str) -> SojournDistribution:
     for law, (tag, keys) in _SOJOURN_TAGS.items():
         if kind == tag:
             _check_keys(doc, {"type", *keys}, where)
-            return law(*(doc[key] for key in keys))
+            return law(*(_number(doc[key], f"{where}.{key}") for key in keys))
     raise ModelFormatError(f"{where}: unknown sojourn distribution tag {kind!r}")
 
 
@@ -555,7 +550,7 @@ def model_from_dict(doc: dict) -> PosmdpModel:
     _check_keys(doc, {"version", "states", "actions", "observations", "transition", "sojourn",
                       "observation_kernel", "r1", "r2", "beta", "initial_belief"},
                 "model document", optional={"admissible", "mixed_observable"})
-    if doc["version"] != MODEL_FILE_VERSION:
+    if _number(doc["version"], "version", integer=True) != MODEL_FILE_VERSION:
         raise ModelFormatError(f"unsupported model file version {doc['version']!r}")
     try:
         return _parse_model(doc)
@@ -578,6 +573,22 @@ def _check_keys(obj, keys: set, where: str, optional=frozenset()) -> None:
         raise ModelFormatError(f"{where}: missing keys {missing}, unknown keys {unknown}")
 
 
+def _number(value, field: str, integer: bool = False):
+    """``value`` if it is a JSON integer or, unless ``integer``, a finite JSON float;
+    ``true``, a numeric string or NaN is a :class:`ModelFormatError` naming ``field``."""
+    if type(value) is int or (not integer and type(value) is float and math.isfinite(value)):
+        return value
+    kind = "an integer" if integer else "a finite number"
+    raise ModelFormatError(f"{field} must be {kind}, got {value!r}")
+
+
+def _numbers(value, field: str, integer: bool = False):
+    """``value``, nested lists of numbers, with each number checked by :func:`_number`."""
+    if isinstance(value, list):
+        return [_numbers(v, f"{field}[{i}]", integer) for i, v in enumerate(value)]
+    return _number(value, field, integer)
+
+
 def _json_list(doc: dict, name: str) -> list:
     # tuple() of a JSON string would split it into one label per character.
     if not isinstance(doc[name], list):
@@ -585,14 +596,19 @@ def _json_list(doc: dict, name: str) -> list:
     return doc[name]
 
 
+def _array(doc: dict, name: str) -> np.ndarray:
+    """The list field ``name`` of ``doc`` as a float array, each number checked."""
+    return np.asarray(_numbers(_json_list(doc, name), name), dtype=float)
+
+
 def _parse_model(doc: dict) -> PosmdpModel:
     states, actions = tuple(_json_list(doc, "states")), tuple(_json_list(doc, "actions"))
 
-    # Indices go through operator.index, so that 0.5 is rejected, not read as 0.
     sojourn = {}
     for i, rec in enumerate(doc["sojourn"]):
         _check_keys(rec, {"s", "a", "s_next", "dist"}, f"sojourn[{i}]")
-        key = tuple(operator.index(rec[name]) for name in ("s", "a", "s_next"))
+        key = tuple(_number(rec[name], f"sojourn[{i}].{name}", integer=True)
+                    for name in ("s", "a", "s_next"))
         if key in sojourn:
             raise ModelFormatError(f"sojourn[{i}] repeats (s, a, s_next) = {key}")
         sojourn[key] = _dist_from_dict(rec["dist"], f"sojourn[{i}].dist")
@@ -614,20 +630,21 @@ def _parse_model(doc: dict) -> PosmdpModel:
         mixed = MixedObservable(
             observable_labels=tuple(_json_list(m, "observable_labels")),
             hidden_labels=tuple(_json_list(m, "hidden_labels")),
-            state_coords=tuple(tuple(c) for c in m["state_coords"]),
+            state_coords=tuple(map(tuple, _numbers(m["state_coords"],
+                                                   "mixed_observable.state_coords", integer=True))),
         )
 
     return PosmdpModel(
         states=states,
         actions=actions,
         observations=tuple(_json_list(doc, "observations")),
-        transition=np.asarray(doc["transition"], dtype=float),
+        transition=_array(doc, "transition"),
         sojourn=sojourn,
-        observation_kernel=np.asarray(_json_list(doc, "observation_kernel"), dtype=float),
-        lump_reward=np.asarray(doc["r1"], dtype=float),
-        rate_reward=np.asarray(doc["r2"], dtype=float),
-        beta=float(doc["beta"]),
-        initial_belief=np.asarray(doc["initial_belief"], dtype=float),
+        observation_kernel=_array(doc, "observation_kernel"),
+        lump_reward=_array(doc, "r1"),
+        rate_reward=_array(doc, "r2"),
+        beta=float(_number(doc["beta"], "beta")),
+        initial_belief=_array(doc, "initial_belief"),
         admissible=admissible,
         mixed_observable=mixed,
     )

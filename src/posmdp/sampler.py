@@ -8,7 +8,7 @@ produced each time. ``B`` grows in generations, and is still Perseus's random
 exploration from ``xi_0`` (Spaan & Vlassis, JAIR 2005): the order in which its
 tree grows is not part of the method. The mixture density ``D`` of ``w``, the
 proposal every transition shares in the importance-sampled backup, is summed
-from the per-action density blocks that the solver's cache also groups.
+from the ``[tau, s, a, s']`` density block that the solver's cache also groups.
 """
 
 from __future__ import annotations
@@ -85,18 +85,18 @@ def mixture_density(bank: SampleBank, model, tau):
 
 def mixture_blocks(bank: SampleBank, model, tau):
     """The distinct times ``taus`` of the array ``tau`` and its ``inverse`` map onto
-    them, the per-action ``[tau, s, s']`` density blocks at ``taus`` and D there.
+    them, the ``[tau, s, a, s']`` density block at ``taus`` and D there.
 
     D sums the terms ``w f`` of the cells with ``w != 0`` from zero left to
     right in ``(s, a, s')`` order (``np.sum`` would pair them and change D in
     its last bits).
     """
     taus, inverse = np.unique(np.asarray(tau, dtype=float), return_inverse=True)
-    blocks = [model.sojourn_density_samples(a, taus) for a in range(model.n_actions)]
-    f = np.stack(blocks, axis=2).reshape(taus.size, bank.weights.size)  # [tau, s a s']
+    block = model.sojourn_density_samples(slice(None), taus)
+    f = block.reshape(taus.size, bank.weights.size)  # [tau, s a s']
     live = bank.weights.ravel() != 0.0
     terms = np.hstack([np.zeros((taus.size, 1)), f[:, live] * bank.weights.ravel()[live]])
-    return taus, inverse, blocks, np.cumsum(terms, axis=1)[:, -1]
+    return taus, inverse, block, np.cumsum(terms, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------

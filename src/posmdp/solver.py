@@ -41,7 +41,8 @@ from itertools import compress
 
 import numpy as np
 
-from .model import ModelFormatError, _check_keys, _read_json, compute_stage_reward, model_hash
+from .model import (ModelFormatError, _check_keys, _number, _read_json, compute_stage_reward,
+                    model_hash)
 from .sampler import SampleBank, mixture_blocks
 # Kept as a name of this module: bench/tracer.py wraps it here.
 from .sampler import mixture_density  # noqa: F401
@@ -182,9 +183,9 @@ class BackupCache:
 
     The density depends on a sample only through tau, so the bank's equal
     times come first, with summed factors ``exp(-beta tau_n) / D(tau_n) / |C|``,
-    D being summed from the per-action ``[tau, s, s']`` density blocks,
-    evaluated once at those times. The first fold takes those density rows
-    under ``a`` and their factors: each shared row is a group, with slice
+    D being summed from one ``[tau, s, a, s']`` density block, evaluated once
+    at those times. The first fold takes the density rows of its ``[tau, s, s']``
+    slice under ``a`` and their factors: each shared row is a group, with slice
     ``P_a`` times the row and weight ``kappa``. Every time at which one sojourn
     law, or one value on one support, is active thus folds into one group per
     support; other times keep a group each.
@@ -206,11 +207,11 @@ class BackupCache:
     def __init__(self, model, bank: SampleBank):
         self.beliefs = bank.beliefs  # [b, s]
         self.stage_reward = compute_stage_reward(model).values  # [s, a]
-        taus, inverse, blocks, density = mixture_blocks(bank, model, bank.times)
+        taus, inverse, block, density = mixture_blocks(bank, model, bank.times)
         kappa_all = np.exp(-model.beta * bank.times) / density[inverse] / max(bank.n_samples, 1)
         kappa_tau = np.bincount(inverse, kappa_all, taus.size)[:, None]
         n_s, n_a = model.n_states, model.n_actions
-        shapes, kappa = zip(*(_fold(blocks[a].reshape(taus.size, n_s * n_s), kappa_tau)
+        shapes, kappa = zip(*(_fold(block[:, :, a].reshape(taus.size, n_s * n_s), kappa_tau)
                               for a in range(n_a)))
         self.kappa = [k[:, 0] for k in kappa]
         group_action = np.repeat(np.arange(n_a), [k.size for k in self.kappa])
@@ -521,11 +522,7 @@ def load_policy(path, model) -> SolveResult:
     for i, rec in enumerate(doc["trace"]):
         _check_keys(rec, _TRACE_KEYS, f"policy field 'trace[{i}]'")
         for name, value in rec.items():
-            number = type(value) is int or (type(value) is float and math.isfinite(value))
-            if not (type(value) is int if name in _TRACE_COUNTS else number):
-                kind = "an integer" if name in _TRACE_COUNTS else "a finite number"
-                raise ModelFormatError(f"policy field 'trace[{i}].{name}' must be {kind}, "
-                                       f"got {value!r}")
+            _number(value, f"policy field 'trace[{i}].{name}'", integer=name in _TRACE_COUNTS)
     if not isinstance(doc["converged"], bool):
         raise ModelFormatError("policy field 'converged' must be true or false")
     return SolveResult(
@@ -539,11 +536,9 @@ def _alpha_from_dict(rec, name: str, model) -> AlphaVector:
     _check_keys(rec, {"action", "values"}, f"policy field '{name}'")
     if rec["action"] not in model.actions:
         raise ModelFormatError(f"policy field '{name}.action': unknown action {rec['action']!r}")
-    try:
-        values = np.asarray(rec["values"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"policy field '{name}.values' is not a list of numbers") from exc
-    if values.shape != (model.n_states,) or not np.all(np.isfinite(values)):
-        raise ModelFormatError(f"policy field '{name}.values' must hold {model.n_states} "
-                               f"finite numbers, got shape {values.shape}")
+    values = rec["values"]
+    if not (isinstance(values, list) and len(values) == model.n_states):
+        raise ModelFormatError(f"policy field '{name}.values' must be a list of "
+                               f"{model.n_states} numbers")
+    values = [_number(v, f"policy field '{name}.values[{i}]'") for i, v in enumerate(values)]
     return AlphaVector(values, model.actions.index(rec["action"]))

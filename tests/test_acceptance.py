@@ -280,3 +280,33 @@ def test_backup_time_scales_linearly_in_samples():
     # 4x the samples: expect ~4x the time, allow a generous band for
     # constant overheads and timer noise.
     assert 1.5 <= ratio <= 12.0, f"scaling ratio {ratio:.2f}"
+
+
+_WORKFLOW = """
+import sys
+import posmdp
+from posmdp import sampler, simulator, solver
+from posmdp.model import build_builtin
+
+def masked():
+    return {m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")}
+
+imported = masked()
+model = build_builtin("maintenance")
+solver.solve(model, sampler.collect(model, 60, 0), seed=0)
+bus = build_builtin("bus")
+vf = solver.solve(bus, sampler.collect(bus, 60, 0), seed=0).value_function
+simulator.evaluate(bus, vf, 5, 10, 0)
+print(sorted(masked() - imported))
+"""
+
+
+def test_workflow_loads_no_masked_arrays():
+    # numpy.ma costs about 1.7 MB of resident memory, and a bare np.unique
+    # loads it lazily on numpy 2. Compared with the modules after import, so
+    # that it holds on numpy 1.x too, which imports numpy.ma eagerly.
+    paths = [os.path.dirname(os.path.dirname(posmdp.__file__))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    child = subprocess.run([sys.executable, "-c", _WORKFLOW], env=env, check=True,
+                           capture_output=True, text=True)
+    assert child.stdout.strip() == "[]"

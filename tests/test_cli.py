@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from test_model import NON_NUMBERS
 
 import posmdp
 from posmdp.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main, simplex_lattice
@@ -87,6 +88,16 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be a JSON list")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mutation", sorted(NON_NUMBERS))
+    def test_non_number_is_format_error(self, mutation, bus_model, tmp_path, capsys):
+        doc = model_to_dict(bus_model)
+        mutate, field = NON_NUMBERS[mutation]
+        mutate(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
 
 
 class TestCollect:

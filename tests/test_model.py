@@ -289,30 +289,44 @@ class TestSojournLaws:
             return original(dist, tau, at_atom)
 
         monkeypatch.setattr(posmdp.model, "mixed_density", counted)
-        assert [len(families) for families in bus_model.sojourn_families] == [2, 1]
-        for a, families in enumerate(bus_model.sojourn_families):
-            for evaluate in (lambda: bus_model.sojourn_density_matrix(a, 12.0),
-                             lambda: bus_model.sojourn_density_samples(a, [5.0, 12.0, 30.0])):
-                calls.clear()
-                evaluate()
-                assert calls == list(families)
-        # A block that takes both actions evaluates each action's families once.
-        calls.clear()
-        bus_model.sojourn_density_samples(np.array([1, 0, 1]), [5.0, 12.0, 30.0])
-        assert calls == [f for families in bus_model.sojourn_families for f in families]
+        families = bus_model.sojourn_families
+        assert [family.kind for family in families] == [posmdp.InverseGaussian,
+                                                        posmdp.DeterministicAtom]
+        taus = [5.0, 12.0, 30.0]
+        for evaluate in (lambda: bus_model.sojourn_density_matrix(1, 12.0),
+                         lambda: bus_model.sojourn_density_samples(0, taus),
+                         lambda: bus_model.sojourn_density_samples(np.array([1, 0, 1]), taus),
+                         lambda: bus_model.sojourn_density_samples(slice(None), taus)):
+            calls.clear()
+            evaluate()
+            assert calls == list(families)
+
+    @pytest.mark.parametrize("name", ["bus", "maintenance", "random"])
+    def test_all_actions_block_matches_each_action(self, name, bus_model, maintenance_model,
+                                                   random_model_factory):
+        model = {"bus": bus_model, "maintenance": maintenance_model,
+                 "random": random_model_factory(np.random.default_rng(7), with_atoms=True)}[name]
+        taus = np.concatenate([np.random.default_rng(5).uniform(0.05, 60.0, 30),
+                               sorted(model.atom_values)])
+        block = model.sojourn_density_samples(slice(None), taus)
+        assert block.shape == (taus.size, model.n_states, model.n_actions, model.n_states)
+        for a in range(model.n_actions):
+            np.testing.assert_array_equal(block[:, :, a], model.sojourn_density_samples(a, taus))
 
 
 class TestSojournFamilies:
     def test_families_cover_every_triple_once(self, bus_model, maintenance_model):
         for model in (bus_model, maintenance_model):
-            for a, families in enumerate(model.sojourn_families):
-                seen = []
-                for family in families:
-                    for s, s2, *params in zip(*family.cells, *family.params):
-                        law = model.sojourn[(int(s), a, int(s2))]
-                        assert type(law) is family.kind and law.params == tuple(params)
-                        seen.append((int(s), a, int(s2)))
-                assert sorted(seen) == sorted(k for k in model.sojourn if k[1] == a)
+            kinds = [family.kind for family in model.sojourn_families]
+            assert len(set(kinds)) == len(kinds)  # one family per kind
+            seen = []
+            for family in model.sojourn_families:
+                for s, a, s2, *params in zip(*family.cells, *family.params):
+                    key = (int(s), int(a), int(s2))
+                    law = model.sojourn[key]
+                    assert type(law) is family.kind and law.params == tuple(params)
+                    seen.append(key)
+            assert sorted(seen) == sorted(model.sojourn)
 
     @pytest.mark.parametrize("name", ["bus", "maintenance", "random"])
     def test_random_times_match_per_triple_oracle(self, name, bus_model, maintenance_model,
@@ -401,7 +415,51 @@ MALFORMED = {
 }
 
 
+def _set(path, value):
+    """A mutation that sets the item at ``path`` (keys and indices) of a document."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+# Numeric fields given something other than a JSON number that Python would
+# read as one; each is a format error naming its field. The bus document's
+# first sojourn law is the inverse Gaussian of (0, 0, 3).
+NON_NUMBERS = {
+    "beta_true": (_set(["beta"], True), "beta"),
+    "beta_string": (_set(["beta"], "0.02"), "beta"),
+    "version_true": (_set(["version"], True), "version"),
+    "version_float": (_set(["version"], 1.0), "version"),
+    "sojourn_action_true": (_set(["sojourn", 0, "a"], True), "sojourn[0].a"),
+    "sojourn_state_string": (_set(["sojourn", 0, "s"], "0"), "sojourn[0].s"),
+    "inverse_gaussian_mu_true": (_set(["sojourn", 0, "dist", "mu"], True),
+                                 "sojourn[0].dist.mu"),
+    "atom_string": (_set(["sojourn", 1, "dist", "c0"], "30"), "sojourn[1].dist.c0"),
+    "transition_row_of_strings": (
+        lambda doc: doc["transition"][0].__setitem__(0, [str(p) for p in doc["transition"][0][0]]),
+        "transition[0][0][0]"),
+    "r1_true": (_set(["r1", 0, 0], True), "r1[0][0]"),
+    "r2_string": (_set(["r2", 1, 0, 2], "-1"), "r2[1][0][2]"),
+    "observation_kernel_true": (_set(["observation_kernel", 0, 0, 0], True),
+                                "observation_kernel[0][0][0]"),
+    "initial_belief_nan": (_set(["initial_belief", 2], math.nan), "initial_belief[2]"),
+    "state_coords_true": (_set(["mixed_observable", "state_coords", 0, 0], True),
+                          "mixed_observable.state_coords[0][0]"),
+}
+
+
 class TestMalformedDocuments:
+    @pytest.mark.parametrize("mutation", sorted(NON_NUMBERS))
+    def test_non_number_names_its_field(self, mutation, bus_model):
+        doc = model_to_dict(bus_model)
+        mutate, field = NON_NUMBERS[mutation]
+        mutate(doc)
+        with pytest.raises(ModelFormatError, match=re.escape(f"{field} must be")):
+            load_model(io.StringIO(json.dumps(doc)))
+
+
     @pytest.mark.parametrize("mutation", sorted(MALFORMED))
     def test_rejected_as_format_error(self, mutation, bus_model):
         doc = model_to_dict(bus_model)

@@ -217,6 +217,24 @@ class TestMixtureDensity:
         np.testing.assert_array_equal(
             mixture_density(bank, maintenance_model, np.array([3.0, 78.7433])), [0.0, 0.0])
 
+    def test_mixture_evaluates_each_time_once(self, maintenance_model, monkeypatch):
+        # One density block over every action, at the distinct times only.
+        bank = collect(maintenance_model, 50, seed=4)
+        calls = []
+        model_type = posmdp.PosmdpModel
+        samples = model_type.sojourn_density_samples
+
+        def counted(self, a, taus):
+            calls.append((a, np.array(taus)))
+            return samples(self, a, taus)
+
+        monkeypatch.setattr(model_type, "sojourn_density_samples", counted)
+        taus = np.concatenate([bank.times, bank.times[:5], [3.0, 9.5]])
+        mixture_density(bank, maintenance_model, taus)
+        assert len(calls) == 1
+        assert calls[0][0] == slice(None)
+        np.testing.assert_array_equal(calls[0][1], np.unique(taus))
+
     def test_vectorized_matches_scalar(self, maintenance_model):
         bank = collect(maintenance_model, 50, seed=4)
         taus = np.array([3.0, 9.5, 78.7433, 85.3052])

@@ -842,10 +842,14 @@ class TestPolicyFiles:
         (lambda doc: doc["trace"][0].update(residual=None), "trace[0].residual"),
         (lambda doc: doc["trace"][0].update(min_improvement=True), "trace[0].min_improvement"),
         (lambda doc: doc["trace"][0].update(wall_time=math.nan), "trace[0].wall_time"),
+        (lambda doc: doc["vectors"][0]["values"].__setitem__(2, "1.5"), "vectors[0].values[2]"),
+        (lambda doc: doc["vectors"][0]["values"].__setitem__(0, True), "vectors[0].values[0]"),
+        (lambda doc: doc["vectors"][0].update(values="abc"), "vectors[0].values"),
         (None, "policy file: invalid JSON at line 1"),  # the file cut short
     ], ids=["vectors_string", "missing_hash", "unknown_trace_key", "short_values",
             "unknown_action", "iteration_string", "n_vectors_float", "residual_null",
-            "min_improvement_bool", "wall_time_nan", "invalid_json"])
+            "min_improvement_bool", "wall_time_nan", "value_string", "value_bool",
+            "values_string", "invalid_json"])
     def test_malformed_file_names_the_field(self, mutate, field, tmp_path,
                                             random_model_factory):
         m = random_model_factory(np.random.default_rng(12))
